@@ -231,7 +231,7 @@ def _run_indirect(args):
     holdout = args.holdout if args.holdout is not None else max(1, len(store) // 10)
     if holdout >= len(store):
         raise ValueError("holdout leaves no training pairs")
-    train_store, eval_store = normalize_store(store, None, holdout, dim=args.pca_dim)
+    train_store, eval_store = normalize_store(store, holdout=holdout, dim=args.pca_dim)
     scorer = build_model(
         ModelConfig("retrieval_mixer", d_model=train_store.queries.shape[1], n_layers=args.n_layers, n_ctx=args.candidates, vocab=3),
         seed=args.seed,
@@ -351,17 +351,30 @@ HANDLERS = {
 }
 
 
+def _config_defaults(path, parser):
+    """The JSON object in a --config file; an unreadable or malformed file is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            defaults = json.load(fh)
+    except OSError as e:
+        parser.error(f"argument --config: cannot read {path}: {e.strerror}")
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        parser.error(f"argument --config: {path} is not valid JSON: {e}")
+    if not isinstance(defaults, dict):
+        parser.error(f"argument --config: {path} must hold a JSON object")
+    return defaults
+
+
 def run_cli(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, parsers = build_parser()
-    # first pass: honor --config as a defaults file for the chosen subcommand
     try:
-        if argv and argv[0] in parsers and "--config" in argv:
-            idx = argv.index("--config")
-            with open(argv[idx + 1]) as fh:
-                defaults = json.load(fh)
-            parsers[argv[0]].set_defaults(**defaults)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # the file supplies defaults for the subcommand; explicit flags still win
+            sub = parsers[args.command]
+            sub.set_defaults(**_config_defaults(args.config, sub))
+            args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

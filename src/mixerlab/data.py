@@ -1,8 +1,6 @@
 """Byte-level tokenization, fixed-context chunking, and corpus splits."""
 
 import hashlib
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,20 +208,3 @@ def pairs_to_sequences(pairs, n_ctx, side="left"):
     targets = [prep(t) for _, t in pairs]
     return queries, targets
 
-
-def iter_prefetch(iterable, depth=4):
-    """Yield items of `iterable` read ahead on a worker thread, order preserved."""
-    q = queue.Queue(maxsize=depth)
-    done = object()
-
-    def pump():
-        for item in iterable:
-            q.put(item)
-        q.put(done)
-
-    threading.Thread(target=pump, daemon=True).start()
-    while True:
-        item = q.get()
-        if item is done:
-            return
-        yield item

@@ -108,10 +108,6 @@ def decode_embedding(w, e):
     return np.argmax(scores, axis=0).astype(np.int32)
 
 
-def _true_embedding(model, ids):
-    return model.params["wte"].data[:, ids].T.copy()
-
-
 def _target_slice(hiddens, cfg_inv):
     layer = hiddens[cfg_inv.target_layer]
     if cfg_inv.last_token_only:
@@ -143,7 +139,7 @@ def calibrate_epsilon(model, tokens, cfg, rng=None):
         raise ValueError(f"target layer {cfg.target_layer} out of range")
     rng = rng or np.random.default_rng(cfg.seed + 1)
     dtype = model.dtype
-    e_true = _true_embedding(model, ids)
+    e_true = T.embedding_lookup(model.params["wte"], ids).data
     noise = rng.normal(0.0, cfg.calib_noise_std, size=e_true.shape).astype(dtype)
     with T.no_grad():
         _, base = _activations(model, e_true, ids, cfg)
@@ -170,7 +166,7 @@ def invert_input(model, tokens, cfg, model_id=""):
     was_grad = {name: p.requires_grad for name, p in model.params.items()}
     model.freeze()
     try:
-        e_true = _true_embedding(model, ids)
+        e_true = T.embedding_lookup(model.params["wte"], ids).data
         with T.no_grad():
             _, target = _activations(model, e_true, ids, cfg)
         target = Tensor(target.data.copy())

@@ -104,17 +104,9 @@ class Model:
     def dtype(self):
         return next(iter(self.params.values())).dtype
 
-    def param_items(self):
-        return list(self.params.items())
-
     def freeze(self):
         for p in self.params.values():
             p.requires_grad = False
-        return self
-
-    def unfreeze(self):
-        for p in self.params.values():
-            p.requires_grad = True
         return self
 
 
@@ -340,13 +332,7 @@ def mixer_forward(model, tokens):
     cfg = model.config
     ids = _as_ids(tokens, cfg)
     e = T.embedding_lookup(model.params["wte"], ids)
-    return mixer_forward_from_embedding(model, e)
-
-
-def mixer_forward_from_embedding(model, e):
-    hiddens = _run_stack(model, "", e, "forward")
-    logits = T.matmul(hiddens[-1], model.params["lm_head"])
-    return logits, hiddens
+    return forward_from_embedding(model, e)
 
 
 def transformer_forward(model, tokens):
@@ -354,21 +340,19 @@ def transformer_forward(model, tokens):
     cfg = model.config
     ids = _as_ids(tokens, cfg)
     e = T.embedding_lookup(model.params["wte"], ids)
-    return transformer_forward_from_embedding(model, e, ids=ids)
-
-
-def transformer_forward_from_embedding(model, e, ids=None):
-    hiddens = _run_stack(model, "", e, "forward", ids=ids)
-    logits = T.matmul(hiddens[-1], model.params["lm_head"])
-    return logits, hiddens
+    return forward_from_embedding(model, e, ids=ids)
 
 
 def forward_from_embedding(model, e, ids=None):
-    if model.config.family == "masked_mixer":
-        return mixer_forward_from_embedding(model, e)
-    if model.config.family == "transformer":
-        return transformer_forward_from_embedding(model, e, ids=ids)
-    raise ValueError(f"embedding-level forward not defined for {model.config.family}")
+    """Causal logits and hidden states from embeddings, for both causal families.
+
+    `ids` only masks pad keys in attention; mixers ignore it.
+    """
+    if model.config.family not in ("masked_mixer", "transformer"):
+        raise ValueError(f"embedding-level forward not defined for {model.config.family}")
+    hiddens = _run_stack(model, "", e, "forward", ids=ids)
+    logits = T.matmul(hiddens[-1], model.params["lm_head"])
+    return logits, hiddens
 
 
 def bidirectional_forward(model, tokens):

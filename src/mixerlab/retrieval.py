@@ -9,15 +9,14 @@ batched cosine similarity.
 
 import csv
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .models import embedding_graph, retrieval_mixer_forward, sequence_embedding
-from .tensor import Tensor, backward, multinomial_sample
-from .training import EvalRecord, TrainReport, adamw_state, adamw_step, clip_global_norm
+from .tensor import Tensor, multinomial_sample
+from .training import TrainConfig, _run_steps
 
 log = logging.getLogger(__name__)
 
@@ -81,27 +80,18 @@ class InfoNCEConfig:
 # ---------------------------------------------------------------------------
 # embedding extraction
 
-def embed_corpus(model, sequences, workers=1):
+def embed_corpus(model, sequences):
     """Embed each sequence with the frozen model; skipped items are logged.
 
     Returns (rows, kept_indices): one row per sequence that carries at
     least two non-pad tokens.
     """
-    def one(item):
-        i, seq = item
+    kept = []
+    for i, seq in enumerate(sequences):
         try:
-            return i, sequence_embedding(model, seq)
+            kept.append((i, sequence_embedding(model, seq)))
         except ValueError as e:
             log.warning("skipping sequence %d: %s", i, e)
-            return i, None
-
-    items = list(enumerate(sequences))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, items))
-    else:
-        results = [one(it) for it in items]
-    kept = [(i, row) for i, row in results if row is not None]
     if not kept:
         return np.zeros((0, model.config.d_model)), []
     rows = np.stack([row for _, row in kept])
@@ -176,7 +166,7 @@ def pca_project(train_store, *others, dim=16):
     return out[0] if not others else tuple(out)
 
 
-def normalize_store(store, _unused=None, holdout=None, dim=16):
+def normalize_store(store, holdout, dim=16):
     """Split, center+normalize, then PCA-project; the CLI's scorer input prep."""
     train_store, eval_store = split_store(store, holdout)
     train_store, eval_store = center_and_normalize(train_store, eval_store)
@@ -208,75 +198,55 @@ def sample_retrieval_batch(store, n, c, rng):
     return RetrievalBatch(a=a, q=q, m=m)
 
 
-def sample_sequence_batch(query_seqs, target_seqs, n, count, rng):
-    """Token-level analogue: the query sequence, its target, and `count` negatives."""
-    size = len(target_seqs)
-    weights = np.ones(size)
+def sample_sequence_batch(target_seqs, n, count, rng):
+    """Token-level analogue: `count` negative target sequences for pair n."""
+    weights = np.ones(len(target_seqs))
     weights[n] = 0.0
-    negatives = multinomial_sample(weights, count, rng)
-    return query_seqs[n], target_seqs[n], [target_seqs[j] for j in negatives]
+    return [target_seqs[j] for j in multinomial_sample(weights, count, rng)]
 
 
 # ---------------------------------------------------------------------------
 # indirect training (frozen embeddings, trainable scorer)
 
-def train_indirect(model, store, eval_store, steps=200, batch_size=16, lr=1e-4, seed=0, eval_every=50, lr_schedule="constant"):
+def train_indirect(model, store, eval_store, steps=200, batch_size=16, lr=1e-4, seed=0, eval_every=50):
     """Cross-entropy training of the scoring model over frozen embeddings.
 
     The match-detection circuit sits behind a long optimization plateau, so
-    the default keeps the learning rate constant; "linear" decays to zero.
+    the learning rate stays constant.
     """
-    from .training import TrainConfig
-
     cfg = TrainConfig(steps=steps, lr=lr, seed=seed, eval_every=eval_every, batch_size=batch_size)
-    lr_at = (lambda s: cfg.lr_at(s, lr)) if lr_schedule == "linear" else (lambda s: lr)
     c = model.config.n_ctx
     rng = np.random.default_rng(seed)
-    state = adamw_state(model)
-    report = TrainReport()
 
-    def eval_ce():
-        losses = []
-        eval_rng = np.random.default_rng(seed + 1)
-        with T.no_grad():
-            for n in range(len(eval_store)):
-                batch = sample_retrieval_batch(eval_store, n, c, eval_rng)
-                logits, _ = retrieval_mixer_forward(model, Tensor(batch.a.astype(model.dtype)))
-                ce = T.cross_entropy(T.reshape(logits, (1, c)), [batch.m])
-                losses.append(ce.item())
-        return float(np.mean(losses))
+    def set_loss(batch):
+        logits, _ = retrieval_mixer_forward(model, Tensor(batch.a.astype(model.dtype)))
+        return T.cross_entropy(T.reshape(logits, (1, c)), [batch.m])
 
-    def record(step, train_loss, tokens):
-        report.records.append(EvalRecord(step, float(train_loss), eval_ce(), lr_at(step), tokens))
-
-    record(0, float("nan"), 0)
-    for step in range(steps):
+    def step_loss():
         losses = []
         for _ in range(batch_size):
             n = int(rng.integers(0, len(store)))
-            batch = sample_retrieval_batch(store, n, c, rng)
-            logits, _ = retrieval_mixer_forward(model, Tensor(batch.a.astype(model.dtype)))
-            losses.append(T.cross_entropy(T.reshape(logits, (1, c)), [batch.m]))
-        loss = T.mul(losses[0] if len(losses) == 1 else _sum_tensors(losses), 1.0 / len(losses))
-        backward(loss)
-        grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
-        if cfg.grad_clip is not None:
-            clip_global_norm(grads, cfg.grad_clip)
-        adamw_step(model.params, grads, state, cfg, step + 1, lr_at(step))
-        for p in model.params.values():
-            p.grad = None
-        report.step_losses.append((step + 1, loss.item(), lr_at(step), (step + 1) * batch_size * c))
-        if (step + 1) % eval_every == 0 or step + 1 == steps:
-            record(step + 1, loss.item(), (step + 1) * batch_size * c)
-    report.final_step = steps
-    return report
+            losses.append(set_loss(sample_retrieval_batch(store, n, c, rng)))
+        return _mean(losses)
+
+    def eval_ce():
+        eval_rng = np.random.default_rng(seed + 1)
+        losses = []
+        with T.no_grad():
+            for n in range(len(eval_store)):
+                losses.append(set_loss(sample_retrieval_batch(eval_store, n, c, eval_rng)).item())
+        return float(np.mean(losses))
+
+    return _run_steps(
+        model, cfg, lr_at=lambda step: lr, step_loss=step_loss, eval_loss=eval_ce, tokens_per_step=batch_size * c
+    )
 
 
-def _sum_tensors(ts):
-    out = ts[0]
-    for t in ts[1:]:
-        out = T.add(out, t)
-    return out
+def _mean(losses):
+    total = losses[0]
+    for t in losses[1:]:
+        total = T.add(total, t)
+    return T.mul(total, 1.0 / len(losses))
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +288,15 @@ def train_infonce(model, pair_corpus, cfg, eval_pairs=None):
     if len(target_seqs) < cfg.negatives + 1:
         raise ValueError(f"need at least {cfg.negatives + 1} pairs for {cfg.negatives} negatives")
     rng = np.random.default_rng(cfg.seed)
-    state = adamw_state(model)
-    report = TrainReport()
 
     def one_loss(n):
         q_emb = embedding_graph(model, query_seqs[n])
         pos = embedding_graph(model, target_seqs[n])
-        _, _, neg_seqs = sample_sequence_batch(query_seqs, target_seqs, n, cfg.negatives, rng)
-        negs = [embedding_graph(model, s) for s in neg_seqs]
+        negs = [embedding_graph(model, s) for s in sample_sequence_batch(target_seqs, n, cfg.negatives, rng)]
         return infonce_loss(q_emb, pos, negs, cfg.tau)
+
+    def step_loss():
+        return _mean([one_loss(int(rng.integers(0, len(query_seqs)))) for _ in range(cfg.batches_per_update)])
 
     def eval_loss():
         if eval_pairs is None:
@@ -347,29 +317,10 @@ def train_infonce(model, pair_corpus, cfg, eval_pairs=None):
                 losses.append(infonce_loss(q_emb, pos, negs, cfg.tau).item())
         return float(np.mean(losses)) if losses else float("nan")
 
-    lr0 = cfg.lr
-    lr_at = lambda s: lr0 * (1.0 - s / cfg.steps)
-    report.records.append(EvalRecord(0, float("nan"), eval_loss(), lr0, 0))
-    for step in range(cfg.steps):
-        losses = [one_loss(int(rng.integers(0, len(query_seqs)))) for _ in range(cfg.batches_per_update)]
-        loss = T.mul(_sum_tensors(losses), 1.0 / len(losses))
-        loss_val = loss.item()
-        if not np.isfinite(loss_val):
-            raise RuntimeError(f"non-finite contrastive loss at step {step}")
-        backward(loss)
-        grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
-        if cfg.grad_clip is not None:
-            clip_global_norm(grads, cfg.grad_clip)
-        adamw_step(model.params, grads, state, cfg, step + 1, lr_at(step))
-        for p in model.params.values():
-            p.grad = None
-        report.step_losses.append((step + 1, loss_val, lr_at(step), (step + 1) * cfg.batches_per_update))
-        if (step + 1) % cfg.eval_every == 0 or step + 1 == cfg.steps:
-            report.records.append(
-                EvalRecord(step + 1, loss_val, eval_loss(), lr_at(step), (step + 1) * cfg.batches_per_update)
-            )
-    report.final_step = cfg.steps
-    return report
+    return _run_steps(
+        model, cfg, lr_at=lambda step: cfg.lr * (1.0 - step / cfg.steps), step_loss=step_loss, eval_loss=eval_loss,
+        tokens_per_step=cfg.batches_per_update,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -90,12 +90,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def item(self):
         return self.data.item()
 
@@ -447,11 +441,6 @@ def cross_entropy(logits, targets, ignore_id=None, reduction="mean"):
     return _make(np.asarray(total * scale, dtype=x.dtype), (logits,), backward)
 
 
-def nonpad_count(targets, ignore_id):
-    targets = np.asarray(targets)
-    return int((targets != ignore_id).sum())
-
-
 def masked_conv1d(x, w, mask):
     """Causal token mixing: out[i] sums masked contributions of rows j of x.
 
@@ -498,7 +487,8 @@ def backward(loss):
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf of the graph.
 
     Traverses exactly the reverse creation order of reachable nodes.
-    Repeated calls without zero_grad keep accumulating into leaves.
+    Repeated calls keep accumulating into leaves until their `grad` is
+    set back to None.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -534,11 +524,6 @@ def backward(loss):
                 flows[id(parent)] = pg if prev is None else prev + pg
     if loss._backward is None and loss.requires_grad:
         loss.grad = flows[id(loss)] if loss.grad is None else loss.grad + flows[id(loss)]
-
-
-def zero_grads(tensors):
-    for t in tensors:
-        t.grad = None
 
 
 # ---------------------------------------------------------------------------

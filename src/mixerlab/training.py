@@ -80,10 +80,10 @@ class TrainReport:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised on a non-finite loss; the model is restored to the last-good state."""
+    """Raised on a non-finite loss or parameter; the model is restored to the last eval point."""
 
     def __init__(self, step, report):
-        super().__init__(f"non-finite loss at step {step}; model restored to last checkpointed state")
+        super().__init__(f"training diverged at step {step}; model restored to the last eval-point state")
         self.step = step
         self.report = report
 
@@ -261,7 +261,7 @@ def _batches(store, batch_size, rng):
             yield store.ids[order[start:start + b]]
 
 
-def evaluate(model, store, cfg, max_batches=None):
+def evaluate(model, store, cfg):
     losses = []
     counts = []
     n = len(store)
@@ -271,17 +271,70 @@ def evaluate(model, store, cfg, max_batches=None):
             batch = store.ids[start:start + b]
             losses.append(batch_loss(model, batch, cfg).item())
             counts.append(len(batch))
-            if max_batches and len(losses) >= max_batches:
-                break
     return float(np.average(losses, weights=counts))
+
+
+def _run_steps(model, cfg, lr_at, step_loss, eval_loss, tokens_per_step, first_loss=float("nan"), save_fn=None):
+    """The optimisation loop shared by every trainer; returns its TrainReport.
+
+    `step_loss()` builds one step's scalar loss graph (drawing its own
+    batch), `eval_loss()` scores the model at an eval point and `lr_at(i)`
+    is the learning rate of 0-based step i. Each step runs backward,
+    clips the global gradient norm to `cfg.grad_clip` (None disables) and
+    applies AdamW. Eval points are step 0, every `cfg.eval_every` steps and
+    the last step; each records the mean train loss since the previous one
+    and snapshots the parameters. A non-finite loss (caught before
+    backward) or a non-finite parameter at an eval point restores the
+    latest snapshot and raises TrainingDiverged, so no snapshot, saved
+    checkpoint or returned model holds a non-finite value. When `save_fn`
+    is given it is called as save_fn(model, tag) at every eval point.
+    """
+    state = adamw_state(model)
+    report = TrainReport()
+
+    def record(step, train_loss):
+        report.records.append(EvalRecord(step, float(train_loss), eval_loss(), lr_at(step), step * tokens_per_step))
+        if save_fn:
+            save_fn(model, f"step{step:06d}")
+        return {name: p.data.copy() for name, p in model.params.items()}
+
+    def diverged(step):
+        for name, p in model.params.items():
+            p.data = last_good[name]
+        return TrainingDiverged(step, report)
+
+    last_good = record(0, first_loss)
+    since_eval = []
+    for step in range(cfg.steps):
+        loss = step_loss()
+        loss_val = loss.item()
+        if not np.isfinite(loss_val):
+            raise diverged(step)
+        backward(loss)
+        grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
+        if cfg.grad_clip is not None:
+            clip_global_norm(grads, cfg.grad_clip)
+        adamw_step(model.params, grads, state, cfg, step + 1, lr_at(step))
+        for p in model.params.values():
+            p.grad = None
+        since_eval.append(loss_val)
+        report.step_losses.append((step + 1, loss_val, lr_at(step), (step + 1) * tokens_per_step))
+        if (step + 1) % cfg.eval_every == 0 or step + 1 == cfg.steps:
+            if not all(np.isfinite(p.data).all() for p in model.params.values()):
+                raise diverged(step)
+            last_good = record(step + 1, np.mean(since_eval))
+            since_eval = []
+    report.final_step = cfg.steps
+    return report
 
 
 def train(model, corpus, cfg, checkpoint_path=None, save_fn=None):
     """Run one training job and return its per-eval report.
 
-    `corpus` is a (train_store, eval_store) pair. A non-finite loss aborts
-    with the model restored to the last recorded state. When `save_fn` is
-    given it is called as save_fn(model, tag) at every eval point.
+    `corpus` is a (train_store, eval_store) pair. A non-finite loss or
+    parameter raises TrainingDiverged with the model restored to the last
+    eval point. When `save_fn` is given it is called as save_fn(model, tag)
+    at every eval point.
     """
     _check_family(model, cfg)
     train_store, eval_store = corpus
@@ -294,84 +347,22 @@ def train(model, corpus, cfg, checkpoint_path=None, save_fn=None):
         )
 
     lr0 = cfg.lr if cfg.lr is not None else default_lr(model.config.family)
-    rng = np.random.default_rng(cfg.seed)
-    stream = _batches(train_store, cfg.batch_size, rng)
-    state = adamw_state(model)
-    report = TrainReport()
-
-    def snapshot():
-        return {name: p.data.copy() for name, p in model.params.items()}
-
-    def record(step, train_loss, tokens):
-        eval_loss = evaluate(model, eval_store, cfg) if len(eval_store) else float("nan")
-        report.records.append(EvalRecord(step, float(train_loss), eval_loss, cfg.lr_at(step, lr0), tokens))
-        if save_fn:
-            save_fn(model, f"step{step:06d}")
-
+    b = min(cfg.batch_size, len(train_store))
+    stream = _batches(train_store, cfg.batch_size, np.random.default_rng(cfg.seed))
     with T.no_grad():
-        first_loss = batch_loss(model, train_store.ids[: min(cfg.batch_size, len(train_store))], cfg).item()
-    record(0, first_loss, 0)
-    last_good = snapshot()
-
-    tokens = 0
-    since_eval = []
-    for step in range(cfg.steps):
-        batch = next(stream)
-        loss = batch_loss(model, batch, cfg)
-        loss_val = loss.item()
-        if not np.isfinite(loss_val):
-            for name, p in model.params.items():
-                p.data = last_good[name]
-            raise TrainingDiverged(step, report)
-        backward(loss)
-        grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
-        if cfg.grad_clip is not None:
-            clip_global_norm(grads, cfg.grad_clip)
-        adamw_step(model.params, grads, state, cfg, step + 1, cfg.lr_at(step, lr0))
-        for p in model.params.values():
-            p.grad = None
-        tokens += batch.shape[0] * batch.shape[1]
-        since_eval.append(loss_val)
-        report.step_losses.append((step + 1, loss_val, cfg.lr_at(step, lr0), tokens))
-        if (step + 1) % cfg.eval_every == 0 or step + 1 == cfg.steps:
-            record(step + 1, float(np.mean(since_eval)), tokens)
-            since_eval = []
-            last_good = snapshot()
-
-    report.final_step = cfg.steps
+        first_loss = batch_loss(model, train_store.ids[:b], cfg).item()
+    report = _run_steps(
+        model, cfg,
+        lr_at=lambda step: cfg.lr_at(step, lr0),
+        step_loss=lambda: batch_loss(model, next(stream), cfg),
+        eval_loss=lambda: evaluate(model, eval_store, cfg) if len(eval_store) else float("nan"),
+        tokens_per_step=b * train_store.ids.shape[1],
+        first_loss=first_loss,
+        save_fn=save_fn,
+    )
     if checkpoint_path:
         from .checkpoint import save_checkpoint
 
         save_checkpoint(model, checkpoint_path)
         report.checkpoint_id = str(checkpoint_path)
     return report
-
-
-def train_clm(model, corpus, cfg):
-    if cfg.objective != "clm":
-        raise ValueError("cfg.objective must be 'clm'")
-    return train(model, corpus, cfg)
-
-
-def train_multi_token(model, corpus, cfg):
-    if cfg.objective != "multi_token":
-        raise ValueError("cfg.objective must be 'multi_token'")
-    return train(model, corpus, cfg)
-
-
-def train_many_token(model, corpus, cfg):
-    if cfg.objective != "many_token":
-        raise ValueError("cfg.objective must be 'many_token'")
-    return train(model, corpus, cfg)
-
-
-def train_bidirectional(model, corpus, cfg):
-    if cfg.objective != "bidirectional":
-        raise ValueError("cfg.objective must be 'bidirectional'")
-    return train(model, corpus, cfg)
-
-
-def train_autoencoder(model, corpus, cfg):
-    if cfg.objective != "autoencoder":
-        raise ValueError("cfg.objective must be 'autoencoder'")
-    return train(model, corpus, cfg)

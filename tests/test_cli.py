@@ -189,3 +189,34 @@ def test_bidir_multitoken_manytoken_autoencoder_commands(tmp_path, corpus_file):
     assert run_cli(["train-autoencoder", *base, "--out", str(tmp_path / "a")]) == 0
     for sub in ("b", "m", "p", "a"):
         assert (tmp_path / sub / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("case", ["last-argument", "missing-file", "not-json", "not-an-object"])
+def test_bad_config_file_is_usage_error(tmp_path, corpus_file, capsys, case):
+    cfg_path = tmp_path / "defaults.json"
+    if case == "not-json":
+        cfg_path.write_text("{steps: 3")
+    elif case == "not-an-object":
+        cfg_path.write_text("[3]")
+    argv = ["train-clm", "--corpus", str(corpus_file), "--out", str(tmp_path / "run"), "--config"]
+    if case != "last-argument":
+        argv.append(str(cfg_path))
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage" in err.lower() and "--config" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_indirect_divergence_exit_1_without_checkpoint(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    emb = tmp_path / "emb.ckpt"
+    save_embedding_store(EmbeddingStore(queries=rng.normal(size=(40, 8)), targets=rng.normal(size=(40, 8))), emb)
+    out = tmp_path / "ret"
+    with np.errstate(all="ignore"):
+        code = run_cli([
+            "train-retrieval-indirect", "--embeddings", str(emb), "--candidates", "4", "--pca-dim", "4",
+            "--holdout", "8", "--steps", "50", "--batch-size", "2", "--lr", "1e8", "--out", str(out),
+        ])
+    assert code == 1
+    assert "diverged" in capsys.readouterr().err
+    assert not (out / "retrieval-model.ckpt").exists()

@@ -12,7 +12,6 @@ from mixerlab.data import (
     Tokenizer,
     build_corpus,
     chunk_and_pad,
-    iter_prefetch,
     load_pairs,
     pairs_to_sequences,
     synthetic_pairs,
@@ -125,10 +124,6 @@ def test_build_corpus_both_splits_nonempty_extreme_ratio():
 def test_build_corpus_unreadable_path():
     with pytest.raises(IOError):
         build_corpus("/no/such/file.txt", n_ctx=4)
-
-
-def test_prefetch_preserves_order():
-    assert list(iter_prefetch(range(100), depth=3)) == list(range(100))
 
 
 def test_synthetic_pairs_share_key_prefix():

@@ -16,8 +16,10 @@ from mixerlab.retrieval import (
     retrieve_topk,
     sample_retrieval_batch,
     train_indirect,
+    train_infonce,
 )
 from mixerlab.tensor import Tensor, backward
+from mixerlab.training import TrainingDiverged
 
 
 def toy_store(n=64, d=8, seed=0):
@@ -61,17 +63,6 @@ def test_embed_corpus_rows_track_weights():
     ra, _ = embed_corpus(a, [seq])
     rb, _ = embed_corpus(b, [seq])
     assert not np.allclose(ra, rb)
-
-
-def test_embed_corpus_worker_pool_preserves_order():
-    cfg = ModelConfig("masked_mixer", d_model=16, n_layers=1, n_ctx=8, vocab=259, padding_side="left")
-    model = build_model(cfg, seed=6)
-    rng = np.random.default_rng(7)
-    seqs = [np.concatenate([[256] * 3, rng.integers(97, 123, size=5)]) for _ in range(12)]
-    serial, kept1 = embed_corpus(model, seqs, workers=1)
-    pooled, kept2 = embed_corpus(model, seqs, workers=4)
-    assert kept1 == kept2
-    assert np.array_equal(serial, pooled)
 
 
 # ---------------------------------------------------------------------------
@@ -311,3 +302,36 @@ def test_indirect_training_never_touches_generator():
     train_indirect(rm, store, store, steps=5, batch_size=4, lr=1e-3, seed=27, eval_every=5)
     for n, p in gen.params.items():
         assert np.array_equal(p.data, before[n])
+
+
+# ---------------------------------------------------------------------------
+# divergence: both retrieval trainers share the training driver's contract
+
+def test_indirect_divergence_restores_last_eval_point():
+    store = toy_store(n=16, d=4)
+    scorer_cfg = ModelConfig("retrieval_mixer", d_model=4, n_layers=1, n_ctx=4, vocab=3)
+    model = build_model(scorer_cfg, seed=28)
+    with pytest.raises(TrainingDiverged) as err, np.errstate(all="ignore"):
+        train_indirect(model, store, store, steps=50, batch_size=2, lr=1e8, seed=29, eval_every=1)
+    last = err.value.report.records[-1].step
+    assert last >= 1
+    # the constant-rate run stopped at the last eval point reaches the same state
+    ref = build_model(scorer_cfg, seed=28)
+    with np.errstate(all="ignore"):
+        train_indirect(ref, store, store, steps=last, batch_size=2, lr=1e8, seed=29, eval_every=1)
+    for n, p in model.params.items():
+        assert np.all(np.isfinite(p.data)), n
+        assert np.array_equal(p.data, ref.params[n].data), n
+
+
+def test_infonce_divergence_restores_last_eval_point():
+    model = build_model(ModelConfig("masked_mixer", d_model=8, n_layers=1, n_ctx=8, vocab=259, padding_side="left"), seed=30)
+    before = {n: p.data.copy() for n, p in model.params.items()}
+    rng = np.random.default_rng(31)
+    seqs = [np.concatenate([[256] * 2, rng.integers(97, 123, size=6)]) for _ in range(12)]
+    cfg = InfoNCEConfig(negatives=2, batches_per_update=1, lr=1e8, steps=50, eval_every=100, seed=32)
+    with pytest.raises(TrainingDiverged), np.errstate(all="ignore"):
+        train_infonce(model, (seqs[:6], seqs[6:]), cfg)
+    # the last eval point is step 0
+    for n, p in model.params.items():
+        assert np.array_equal(p.data, before[n]), n
