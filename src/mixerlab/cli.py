@@ -365,16 +365,32 @@ def _config_defaults(path, parser):
     return defaults
 
 
+def _parse_args(parser, parsers, argv):
+    """Parse argv; a --config file supplies defaults for the subcommand.
+
+    Explicit flags win over the file, and a key in the file satisfies a
+    required flag. The first pass waives required flags only to find the
+    subcommand and the --config path; the second pass enforces them.
+    """
+    required = [a for p in parsers.values() for a in p._actions if a.required]
+    for action in required:
+        action.required = False
+    args = parser.parse_args(argv)
+    defaults = {}
+    if args.config is not None:
+        sub = parsers[args.command]
+        defaults = _config_defaults(args.config, sub)
+        sub.set_defaults(**defaults)
+    for action in required:
+        action.required = action.dest not in defaults
+    return parser.parse_args(argv)
+
+
 def run_cli(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, parsers = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            # the file supplies defaults for the subcommand; explicit flags still win
-            sub = parsers[args.command]
-            sub.set_defaults(**_config_defaults(args.config, sub))
-            args = parser.parse_args(argv)
+        args = _parse_args(parser, parsers, argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -111,7 +111,7 @@ def decode_embedding(w, e):
 def _target_slice(hiddens, cfg_inv):
     layer = hiddens[cfg_inv.target_layer]
     if cfg_inv.last_token_only:
-        return T.narrow(layer, 0, layer.data.shape[0] - 1, 1)
+        return T.narrow(layer, -2, layer.data.shape[-2] - 1, 1)
     return layer
 
 

@@ -214,8 +214,9 @@ def build_model(cfg, seed=0, dtype=TRAIN32):
 # forward pieces
 
 def _as_ids(tokens, cfg):
+    """Token ids as (n_ctx,) for one sequence or (batch, n_ctx) for a batch."""
     ids = tokens.ids if isinstance(tokens, TokenSequence) else np.asarray(tokens, dtype=np.int64)
-    if ids.shape != (cfg.n_ctx,):
+    if ids.ndim not in (1, 2) or ids.shape[-1] != cfg.n_ctx:
         raise ValueError(f"expected {cfg.n_ctx} tokens, got shape {ids.shape}")
     return ids
 
@@ -229,9 +230,9 @@ def _token_mix(params, prefix, h, cfg, mask_dir):
         heads = []
         sq = mask.pattern(s, s)
         for j in range(cfg.n_heads):
-            xh = T.narrow(proj, 1, j * d_head, d_head)
+            xh = T.narrow(proj, -1, j * d_head, d_head)
             heads.append(_one_conv(params, f"{prefix}mix.conv{j}.", xh, cfg, sq))
-        return T.matmul(T.concat(heads, axis=1), params[prefix + "mix.w_out"])
+        return T.matmul(T.concat(heads, axis=-1), params[prefix + "mix.w_out"])
     if cfg.expansion == 2:
         up = _one_conv(params, prefix + "mix.conv1.", h, cfg, mask.pattern(2 * s, s))
         return _one_conv(params, prefix + "mix.conv2.", T.gelu(up), cfg, mask.pattern(s, 2 * s))
@@ -273,21 +274,24 @@ def _attention(params, prefix, h, cfg, allowed, rope):
     v = T.matmul(h, params[prefix + "wv"])
     outs = []
     for j in range(cfg.n_heads):
-        qh = _rope(T.narrow(q, 1, j * d_head, d_head), rope)
-        kh = _rope(T.narrow(k, 1, j * d_head, d_head), rope)
-        vh = T.narrow(v, 1, j * d_head, d_head)
+        qh = _rope(T.narrow(q, -1, j * d_head, d_head), rope)
+        kh = _rope(T.narrow(k, -1, j * d_head, d_head), rope)
+        vh = T.narrow(v, -1, j * d_head, d_head)
         scores = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(d_head))
-        att = T.softmax(T.add(T.mul(scores, m), fill), axis=1)
+        att = T.softmax(T.add(T.mul(scores, m), fill), axis=-1)
         outs.append(T.matmul(att, vh))
-    return T.matmul(T.concat(outs, axis=1), params[prefix + "wo"])
+    return T.matmul(T.concat(outs, axis=-1), params[prefix + "wo"])
 
 
 def _allowed_attention(cfg, mask_dir, ids):
-    """Attention mask: causal direction, pads excluded as keys, self always kept."""
+    """Attention mask: causal direction, pads excluded as keys, self always kept.
+
+    (n_ctx, n_ctx) without ids, one such mask per sequence with them.
+    """
     base = CausalMask(mask_dir).pattern(cfg.n_ctx, cfg.n_ctx)
     if ids is not None:
         keep_key = (np.asarray(ids) != PAD_ID).astype(float)
-        base = base * np.maximum(keep_key[None, :], np.eye(cfg.n_ctx))
+        base = base * np.maximum(keep_key[..., None, :], np.eye(cfg.n_ctx))
     return base
 
 
@@ -320,12 +324,35 @@ def _run_stack(model, prefix, e, mask_dir, ids=None):
     return hiddens
 
 
-def _nonpad_positions(ids):
-    return np.flatnonzero(np.asarray(ids) != PAD_ID)
+def _nth_last_nonpad(ids, nth):
+    """Position of each sequence's nth-from-last non-pad token (nth=1 is the last).
+
+    Raises if a sequence holds fewer than `nth` non-pad tokens.
+    """
+    nonpad = np.asarray(ids) != PAD_ID
+    seen = np.cumsum(nonpad, axis=-1)
+    total = seen[..., -1:]
+    if np.any(total < nth):
+        raise ValueError(f"sequence must contain at least {nth} non-pad token(s)")
+    return np.argmax(nonpad & (seen == total - (nth - 1)), axis=-1)
+
+
+def _rows_at(h, positions):
+    """Row positions[b] of each sequence b of h (..., S, d), as (..., 1, d).
+
+    A one-hot weighted sum over the sequence axis: exact, and the gradient
+    reaches only the selected rows.
+    """
+    pick = np.arange(h.data.shape[-2]) == np.asarray(positions)[..., None]
+    return T.tsum(T.mul(h, Tensor(pick[..., None].astype(h.dtype))), axis=-2, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
 # family forwards
+#
+# Every family takes ids of shape (n_ctx,) or (batch, n_ctx) and keeps the
+# same leading axes on its outputs: logits are (..., n_ctx, vocab) and
+# hidden states (..., n_ctx, d_model). Sequences in a batch never mix.
 
 def mixer_forward(model, tokens):
     """Causal logits and per-layer hidden states for a masked mixer."""
@@ -371,38 +398,42 @@ def bidirectional_forward(model, tokens):
     h_fwd = _run_stack(model, "fwd.", e_fwd, "forward", ids=ids)[-1]
     h_rev = _run_stack(model, "rev.", e_rev, "reverse", ids=ids)[-1]
     combined = T.add(
-        T.shift(T.matmul(h_fwd, params["combine_fwd"]), axis=0, offset=1),
-        T.shift(T.matmul(h_rev, params["combine_rev"]), axis=0, offset=-1),
+        T.shift(T.matmul(h_fwd, params["combine_fwd"]), axis=-2, offset=1),
+        T.shift(T.matmul(h_rev, params["combine_rev"]), axis=-2, offset=-1),
     )
     logits = T.matmul(combined, params["lm_head"])
     return logits, {"h_fwd": h_fwd, "h_rev": h_rev}
+
+
+def _encode(model, ids):
+    """Encoder hidden states and the bottleneck: each sequence's last non-pad state, (..., 1, d)."""
+    e = T.embedding_lookup(model.params["wte"], ids)
+    enc = _run_stack(model, "enc.", e, "forward", ids=ids)
+    return enc, _rows_at(enc[-1], _nth_last_nonpad(ids, 1))
 
 
 def autoencoder_forward(model, tokens):
     """Compress to the last non-pad token's state, then reconstruct all positions."""
     cfg = model.config
     ids = _as_ids(tokens, cfg)
-    params = model.params
-    e = T.embedding_lookup(params["wte"], ids)
-    enc = _run_stack(model, "enc.", e, "forward", ids=ids)
-    nonpad = _nonpad_positions(ids)
-    if nonpad.size == 0:
-        raise ValueError("autoencoder input contains no non-pad tokens")
-    bottleneck = T.narrow(enc[-1], 0, int(nonpad[-1]), 1)
-    repeated = T.matmul(Tensor(np.ones((cfg.n_ctx, 1), dtype=e.dtype)), bottleneck)
+    enc, bottleneck = _encode(model, ids)
+    repeated = T.matmul(Tensor(np.ones((cfg.n_ctx, 1), dtype=bottleneck.dtype)), bottleneck)
     dec = _run_stack(model, "dec.", repeated, "forward", ids=ids)
-    logits = T.matmul(dec[-1], params["lm_head"])
+    logits = T.matmul(dec[-1], model.params["lm_head"])
     return logits, {"bottleneck": bottleneck, "decoder_input": repeated, "hiddens_enc": enc, "hiddens_dec": dec}
 
 
 def retrieval_mixer_forward(model, embeddings):
-    """Score candidate embeddings; row 0 is the query, output is length-c logits."""
+    """Score candidate sets; row 0 of each set is the query.
+
+    Embeddings of shape (c, d) give length-c logits, (batch, c, d) give (batch, c).
+    """
     cfg = model.config
     e = embeddings if isinstance(embeddings, Tensor) else Tensor(np.asarray(embeddings, dtype=TRAIN32))
-    if e.data.shape != (cfg.n_ctx, cfg.d_model):
+    if e.data.ndim not in (2, 3) or e.data.shape[-2:] != (cfg.n_ctx, cfg.d_model):
         raise ValueError(f"expected {(cfg.n_ctx, cfg.d_model)} candidate embeddings, got {e.data.shape}")
     hiddens = _run_stack(model, "", e, "none")
-    return T.reshape(T.matmul(hiddens[-1], model.params["head"]), (cfg.n_ctx,)), hiddens
+    return T.reshape(T.matmul(hiddens[-1], model.params["head"]), e.data.shape[:-1]), hiddens
 
 
 def forward(model, tokens):
@@ -442,40 +473,36 @@ def generate(model, prompt, n_new):
     return seq[:filled].astype(np.int32)
 
 
-def sequence_embedding(model, tokens):
-    """Single fixed-width embedding row for one sequence.
-
-    Mixers and transformers use the second-to-last non-pad token's last
-    hidden state; autoencoders use the encoder bottleneck.
-    """
+def _embed(model, tokens):
     cfg = model.config
     ids = _as_ids(tokens, cfg)
     fam = cfg.family
+    if fam not in ("masked_mixer", "transformer", "mixer_autoencoder", "transformer_autoencoder"):
+        raise ValueError(f"no embedding convention for family {fam!r}")
+    second_last = _nth_last_nonpad(ids, 2)  # also rejects sequences with fewer than two non-pad tokens
+    if fam in ("mixer_autoencoder", "transformer_autoencoder"):
+        rows = _encode(model, ids)[1]
+    else:
+        e = T.embedding_lookup(model.params["wte"], ids)
+        rows = _rows_at(_run_stack(model, "", e, "forward", ids=ids)[-1], second_last)
+    return T.reshape(rows, ids.shape[:-1] + (cfg.d_model,))
+
+
+def sequence_embedding(model, tokens):
+    """Fixed-width embedding rows: (d,) for one sequence, (batch, d) for a batch.
+
+    Mixers and transformers use the second-to-last non-pad token's last
+    hidden state; autoencoders use the encoder bottleneck. Only the hidden
+    states are computed, never the vocabulary logits. Every sequence must
+    hold at least two non-pad tokens.
+    """
     with T.no_grad():
-        if fam in ("mixer_autoencoder", "transformer_autoencoder"):
-            _, aux = autoencoder_forward(model, ids)
-            return aux["bottleneck"].data.reshape(-1).copy()
-        if fam not in ("masked_mixer", "transformer"):
-            raise ValueError(f"no embedding convention for family {fam!r}")
-        nonpad = _nonpad_positions(ids)
-        if nonpad.size < 2:
-            raise ValueError("sequence must contain at least 2 non-pad tokens")
-        _, hiddens = forward(model, ids)
-        return hiddens[-1].data[int(nonpad[-2])].copy()
+        return _embed(model, tokens).data
 
 
 def embedding_graph(model, tokens):
     """Like sequence_embedding but with gradients attached (contrastive training)."""
-    cfg = model.config
-    ids = _as_ids(tokens, cfg)
-    nonpad = _nonpad_positions(ids)
-    if nonpad.size < 2:
-        raise ValueError("sequence must contain at least 2 non-pad tokens")
-    if cfg.family in ("mixer_autoencoder", "transformer_autoencoder"):
-        _, aux = autoencoder_forward(model, ids)
-        return T.reshape(aux["bottleneck"], (cfg.d_model,))
-    _, hiddens = forward(model, ids)
-    return T.reshape(T.narrow(hiddens[-1], 0, int(nonpad[-2]), 1), (cfg.d_model,))
+    return _embed(model, tokens)
 
 
 def intertoken_param_count(cfg):

@@ -14,11 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .models import embedding_graph, retrieval_mixer_forward, sequence_embedding
+from .models import _as_ids, _nth_last_nonpad, embedding_graph, retrieval_mixer_forward, sequence_embedding
 from .tensor import Tensor, multinomial_sample
 from .training import TrainConfig, _run_steps
 
 log = logging.getLogger(__name__)
+
+# Sequences per forward pass when embedding a corpus without gradients. A
+# chunk bounds the activations held at once (they grow linearly with it)
+# while still amortising the per-op overhead over many sequences.
+EMBED_CHUNK = 32
 
 
 @dataclass
@@ -84,18 +89,29 @@ def embed_corpus(model, sequences):
     """Embed each sequence with the frozen model; skipped items are logged.
 
     Returns (rows, kept_indices): one row per sequence that carries at
-    least two non-pad tokens.
+    least two non-pad tokens. Kept sequences are embedded EMBED_CHUNK at a
+    time.
     """
-    kept = []
+    kept, ids = [], []
     for i, seq in enumerate(sequences):
         try:
-            kept.append((i, sequence_embedding(model, seq)))
+            one = _as_ids(seq, model.config)
+            if one.ndim != 1:
+                raise ValueError(f"expected one sequence, got shape {one.shape}")
+            _nth_last_nonpad(one, 2)
         except ValueError as e:
             log.warning("skipping sequence %d: %s", i, e)
+            continue
+        kept.append(i)
+        ids.append(one)
     if not kept:
         return np.zeros((0, model.config.d_model)), []
-    rows = np.stack([row for _, row in kept])
-    return rows, [i for i, _ in kept]
+    return _embed_rows(model, np.stack(ids)), kept
+
+
+def _embed_rows(model, ids):
+    """sequence_embedding over a (batch, n_ctx) id array, EMBED_CHUNK sequences per forward."""
+    return np.concatenate([sequence_embedding(model, ids[i:i + EMBED_CHUNK]) for i in range(0, len(ids), EMBED_CHUNK)])
 
 
 def embed_pair_store(model, query_seqs, target_seqs, model_id=""):
@@ -218,104 +234,107 @@ def train_indirect(model, store, eval_store, steps=200, batch_size=16, lr=1e-4, 
     c = model.config.n_ctx
     rng = np.random.default_rng(seed)
 
-    def set_loss(batch):
-        logits, _ = retrieval_mixer_forward(model, Tensor(batch.a.astype(model.dtype)))
-        return T.cross_entropy(T.reshape(logits, (1, c)), [batch.m])
+    def set_loss(batches):
+        logits, _ = retrieval_mixer_forward(model, Tensor(np.stack([b.a for b in batches]).astype(model.dtype)))
+        return T.cross_entropy(logits, [b.m for b in batches])
 
     def step_loss():
-        losses = []
+        batches = []
         for _ in range(batch_size):
             n = int(rng.integers(0, len(store)))
-            losses.append(set_loss(sample_retrieval_batch(store, n, c, rng)))
-        return _mean(losses)
+            batches.append(sample_retrieval_batch(store, n, c, rng))
+        return set_loss(batches)
 
     def eval_ce():
         eval_rng = np.random.default_rng(seed + 1)
-        losses = []
+        batches = [sample_retrieval_batch(eval_store, n, c, eval_rng) for n in range(len(eval_store))]
         with T.no_grad():
-            for n in range(len(eval_store)):
-                losses.append(set_loss(sample_retrieval_batch(eval_store, n, c, eval_rng)).item())
-        return float(np.mean(losses))
+            return set_loss(batches).item()
 
     return _run_steps(
         model, cfg, lr_at=lambda step: lr, step_loss=step_loss, eval_loss=eval_ce, tokens_per_step=batch_size * c
     )
 
 
-def _mean(losses):
-    total = losses[0]
-    for t in losses[1:]:
-        total = T.add(total, t)
-    return T.mul(total, 1.0 / len(losses))
-
-
 # ---------------------------------------------------------------------------
 # InfoNCE
-
-def _cosine(a, b):
-    num = T.tsum(T.mul(a, b))
-    na = T.sqrt(T.tsum(T.mul(a, a)))
-    nb = T.sqrt(T.tsum(T.mul(b, b)))
-    if na.item() == 0.0 or nb.item() == 0.0:
-        raise ValueError("cosine similarity undefined for a zero-norm vector")
-    return T.div(num, T.mul(na, nb))
-
 
 def infonce_loss(q_emb, pos_emb, neg_embs, tau=0.02):
     """Contrastive loss -log f+/(f+ + sum fi) with f = exp(cos/tau).
 
-    Evaluated in log space: at tau = 0.02 the raw exponentials overflow,
-    the log-sum-exp form is exact.
+    q_emb and pos_emb are (d,) rows and neg_embs a list of (d,) rows, or
+    one tensor of shape (N, d). With a leading batch axis, (B, d), (B, d)
+    and (B, N, d), the result is the mean loss over the batch. Evaluated
+    in log space: at tau = 0.02 the raw exponentials overflow, the
+    log-sum-exp form is exact.
     """
-    sims = [T.mul(_cosine(q_emb, pos_emb), 1.0 / tau)]
-    for neg in neg_embs:
-        sims.append(T.mul(_cosine(q_emb, neg), 1.0 / tau))
-    stacked = T.concat([T.reshape(s, (1,)) for s in sims], axis=0)
-    peak = float(np.max(stacked.data))
-    lse = T.add(T.log(T.tsum(T.exp(T.add(stacked, -peak)))), peak)
-    return T.add(lse, T.neg(sims[0]))
+    if isinstance(neg_embs, (list, tuple)):
+        neg_embs = T.concat([T.reshape(n, n.data.shape[:-1] + (1, n.data.shape[-1])) for n in neg_embs], axis=-2)
+    d = q_emb.data.shape[-1]
+    query = T.reshape(q_emb, q_emb.data.shape[:-1] + (1, d))
+    cands = T.concat([T.reshape(pos_emb, pos_emb.data.shape[:-1] + (1, d)), neg_embs], axis=-2)
+    num = T.tsum(T.mul(query, cands), axis=-1)
+    qn = T.sqrt(T.tsum(T.mul(query, query), axis=-1))
+    cn = T.sqrt(T.tsum(T.mul(cands, cands), axis=-1))
+    if np.any(qn.data == 0.0) or np.any(cn.data == 0.0):
+        raise ValueError("cosine similarity undefined for a zero-norm vector")
+    sims = T.mul(T.div(num, T.mul(qn, cn)), 1.0 / tau)  # (..., 1 + N), the positive first
+    peak = Tensor(np.max(sims.data, axis=-1, keepdims=True))
+    lse = T.add(T.log(T.tsum(T.exp(T.add(sims, T.neg(peak))), axis=-1, keepdims=True)), peak)
+    losses = T.tsum(T.add(lse, T.neg(T.narrow(sims, -1, 0, 1))), axis=-1)
+    return T.mean(losses) if losses.data.ndim else losses
 
 
 def train_infonce(model, pair_corpus, cfg, eval_pairs=None):
     """Contrastive fine-tuning of the embedding model on query/target pairs.
 
     `pair_corpus` is (query_seqs, target_seqs); gradients flow through the
-    embedding extraction into the model itself.
+    embedding extraction into the model itself. Each step embeds the
+    queries, positives and negatives of all its examples in one forward
+    pass. The eval loss scores every `eval_pairs` query against its target
+    and `cfg.negatives` other eval targets, so the eval set needs more
+    pairs than that.
     """
     query_seqs, target_seqs = pair_corpus
     if len(query_seqs) != len(target_seqs):
         raise ValueError("query/target sequence lists must pair by index")
     if len(target_seqs) < cfg.negatives + 1:
         raise ValueError(f"need at least {cfg.negatives + 1} pairs for {cfg.negatives} negatives")
+    if eval_pairs is not None:
+        eq, et = eval_pairs
+        if len(eq) != len(et):
+            raise ValueError("eval query/target sequence lists must pair by index")
+        if len(et) < cfg.negatives + 1:
+            raise ValueError(
+                f"need at least {cfg.negatives + 1} eval pairs for {cfg.negatives} negatives, got {len(et)}"
+            )
     rng = np.random.default_rng(cfg.seed)
-
-    def one_loss(n):
-        q_emb = embedding_graph(model, query_seqs[n])
-        pos = embedding_graph(model, target_seqs[n])
-        negs = [embedding_graph(model, s) for s in sample_sequence_batch(target_seqs, n, cfg.negatives, rng)]
-        return infonce_loss(q_emb, pos, negs, cfg.tau)
+    cfg_m = model.config
+    width = 2 + cfg.negatives  # query, positive, negatives
 
     def step_loss():
-        return _mean([one_loss(int(rng.integers(0, len(query_seqs)))) for _ in range(cfg.batches_per_update)])
+        rows = []
+        for _ in range(cfg.batches_per_update):
+            n = int(rng.integers(0, len(query_seqs)))
+            rows += [query_seqs[n], target_seqs[n], *sample_sequence_batch(target_seqs, n, cfg.negatives, rng)]
+        ids = np.stack([_as_ids(r, cfg_m) for r in rows])
+        embs = T.reshape(embedding_graph(model, ids), (cfg.batches_per_update, width, cfg_m.d_model))
+        q, pos = (T.reshape(T.narrow(embs, 1, i, 1), (cfg.batches_per_update, cfg_m.d_model)) for i in (0, 1))
+        return infonce_loss(q, pos, T.narrow(embs, 1, 2, cfg.negatives), cfg.tau)
 
     def eval_loss():
         if eval_pairs is None:
             return float("nan")
-        eq, et = eval_pairs
         eval_rng = np.random.default_rng(cfg.seed + 1)
-        losses = []
+        negs = []
+        for n in range(len(eq)):
+            weights = np.ones(len(et))
+            weights[n] = 0.0
+            negs.append(multinomial_sample(weights, cfg.negatives, eval_rng))
+        q = _embed_rows(model, np.stack([_as_ids(s, cfg_m) for s in eq]))
+        t = _embed_rows(model, np.stack([_as_ids(s, cfg_m) for s in et]))
         with T.no_grad():
-            for n in range(len(eq)):
-                q_emb = embedding_graph(model, eq[n])
-                pos = embedding_graph(model, et[n])
-                weights = np.ones(len(et)) if len(et) > cfg.negatives else None
-                if weights is None:
-                    break
-                weights[n] = 0.0
-                neg_idx = multinomial_sample(weights, cfg.negatives, eval_rng)
-                negs = [embedding_graph(model, et[j]) for j in neg_idx]
-                losses.append(infonce_loss(q_emb, pos, negs, cfg.tau).item())
-        return float(np.mean(losses)) if losses else float("nan")
+            return infonce_loss(Tensor(q), Tensor(t), Tensor(t[np.array(negs)]), cfg.tau).item()
 
     return _run_steps(
         model, cfg, lr_at=lambda step: cfg.lr * (1.0 - step / cfg.steps), step_loss=step_loss, eval_loss=eval_loss,

@@ -139,36 +139,19 @@ def clip_global_norm(grads, max_norm):
 # ---------------------------------------------------------------------------
 # objective losses
 
-def _accumulate_mean(pairs):
-    """Combine (sum_tensor, count) pairs into one mean loss over all tokens."""
-    total_count = sum(c for _, c in pairs if c > 0)
-    if total_count == 0:
-        raise ValueError("empty loss: batch contains no unmasked target positions")
-    total = None
-    for s, c in pairs:
-        if c == 0:
-            continue
-        total = s if total is None else T.add(total, s)
-    return T.mul(total, 1.0 / total_count)
+def _token_loss(logits, targets):
+    """Mean cross-entropy over every non-pad target of a (..., n, vocab) logit block."""
+    flat = T.reshape(logits, (-1, logits.data.shape[-1]))
+    return T.cross_entropy(flat, np.asarray(targets).reshape(-1), ignore_id=PAD_ID)
 
 
 def _shifted_loss(model, batch, shifts):
-    """All-next-token loss; several shift widths share one forward pass each."""
-    per_shift = {s: [] for s in shifts}
+    """All-next-token loss; several shift widths share one forward pass."""
+    logits, _ = forward(model, batch)
     n = model.config.n_ctx
-    for ids in batch:
-        logits, _ = forward(model, ids)
-        for s in shifts:
-            targets = ids[s:]
-            count = int(np.sum(targets != PAD_ID))
-            if count == 0:
-                per_shift[s].append((None, 0))
-                continue
-            ce = T.cross_entropy(T.narrow(logits, 0, 0, n - s), targets, ignore_id=PAD_ID, reduction="sum")
-            per_shift[s].append((ce, count))
     loss = None
     for s in shifts:
-        shift_loss = _accumulate_mean(per_shift[s])
+        shift_loss = _token_loss(T.narrow(logits, -2, 0, n - s), batch[:, s:])
         loss = shift_loss if loss is None else T.add(loss, shift_loss)
     return loss
 
@@ -176,63 +159,47 @@ def _shifted_loss(model, batch, shifts):
 def many_token_logits(model, ids, prefix_len):
     """Forward pass with suffix positions fed the learned placeholder vector.
 
-    Suffix logits cannot depend on the suffix ground-truth tokens: those
-    token ids never enter the forward pass.
+    `ids` is one sequence (n_ctx,) or a batch (batch, n_ctx). Suffix logits
+    cannot depend on the suffix ground-truth tokens: those token ids never
+    enter the forward pass.
     """
     cfg = model.config
     n = cfg.n_ctx
     if prefix_len is None or not 1 <= prefix_len < n:
         raise ValueError(f"prefix_len must lie in [1, n_ctx), got {prefix_len}")
+    ids = np.asarray(ids)
     placeholder = model.params["many_token_placeholder"]
-    ones = Tensor(np.ones((n - prefix_len, 1), dtype=model.dtype))
-    prefix_e = T.embedding_lookup(model.params["wte"], ids[:prefix_len])
-    e = T.concat([prefix_e, T.matmul(ones, placeholder)], axis=0)
+    ones = Tensor(np.ones(ids.shape[:-1] + (n - prefix_len, 1), dtype=model.dtype))
+    prefix_e = T.embedding_lookup(model.params["wte"], ids[..., :prefix_len])
+    e = T.concat([prefix_e, T.matmul(ones, placeholder)], axis=-2)
     logits, _ = forward_from_embedding(model, e, ids=None)
     return logits
 
 
 def _many_token_loss(model, batch, prefix_len):
     n = model.config.n_ctx
-    pairs = []
-    for ids in batch:
-        logits = many_token_logits(model, ids, prefix_len)
-        targets = ids[prefix_len:]
-        count = int(np.sum(targets != PAD_ID))
-        if count == 0:
-            pairs.append((None, 0))
-            continue
-        ce = T.cross_entropy(
-            T.narrow(logits, 0, prefix_len - 1, n - prefix_len), targets, ignore_id=PAD_ID, reduction="sum"
-        )
-        pairs.append((ce, count))
-    return _accumulate_mean(pairs)
-
-
-def _unshifted_loss(forward_fn):
-    def loss_fn(model, batch):
-        pairs = []
-        for ids in batch:
-            logits, _ = forward_fn(model, ids)
-            count = int(np.sum(ids != PAD_ID))
-            if count == 0:
-                pairs.append((None, 0))
-                continue
-            pairs.append((T.cross_entropy(logits, ids, ignore_id=PAD_ID, reduction="sum"), count))
-        return _accumulate_mean(pairs)
-
-    return loss_fn
+    logits = many_token_logits(model, batch, prefix_len)
+    return _token_loss(T.narrow(logits, -2, prefix_len - 1, n - prefix_len), batch[:, prefix_len:])
 
 
 def batch_loss(model, batch, cfg):
+    """Mean per-token loss of one (batch, n_ctx) id array under one forward pass.
+
+    Pad-only sequences are dropped first: they carry no target, and
+    leaving them out keeps the loss bit-identical with or without them.
+    """
+    batch = np.asarray(batch)
+    batch = batch[(batch != PAD_ID).any(axis=1)]
+    if len(batch) == 0:
+        raise ValueError("empty loss: batch contains no unmasked target positions")
     if cfg.objective == "clm":
         return _shifted_loss(model, batch, [1])
     if cfg.objective == "multi_token":
         return _shifted_loss(model, batch, list(range(1, cfg.multi_m + 1)))
     if cfg.objective == "many_token":
         return _many_token_loss(model, batch, cfg.prefix_len)
-    if cfg.objective == "bidirectional":
-        return _unshifted_loss(bidirectional_forward)(model, batch)
-    return _unshifted_loss(autoencoder_forward)(model, batch)
+    forward_fn = bidirectional_forward if cfg.objective == "bidirectional" else autoencoder_forward
+    return _token_loss(forward_fn(model, batch)[0], batch)
 
 
 def _check_family(model, cfg):

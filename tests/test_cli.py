@@ -220,3 +220,52 @@ def test_indirect_divergence_exit_1_without_checkpoint(tmp_path, capsys):
     assert code == 1
     assert "diverged" in capsys.readouterr().err
     assert not (out / "retrieval-model.ckpt").exists()
+
+
+def test_config_file_satisfies_required_flag(tmp_path, corpus_file):
+    cfg_path = tmp_path / "defaults.json"
+    cfg_path.write_text(json.dumps({"corpus": str(corpus_file), "steps": 2, "d_model": 16, "n_layers": 1, "n_ctx": 8}))
+    out = tmp_path / "run"
+    assert run_cli(["train-clm", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())["corpus"] == str(corpus_file)
+    assert (out / "model.ckpt").exists()
+
+
+def test_explicit_flag_wins_over_config_required_value(tmp_path, corpus_file):
+    cfg_path = tmp_path / "defaults.json"
+    cfg_path.write_text(json.dumps({"corpus": str(tmp_path / "missing.txt"), "steps": 2, "d_model": 16, "n_ctx": 8}))
+    out = tmp_path / "run"
+    assert run_cli(["train-clm", "--config", str(cfg_path), "--corpus", str(corpus_file), "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())["corpus"] == str(corpus_file)
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+def test_required_flag_missing_everywhere_is_usage_error(tmp_path, capsys, with_config):
+    argv = ["train-manytoken", "--out", str(tmp_path / "run")]
+    if with_config:
+        cfg_path = tmp_path / "defaults.json"
+        cfg_path.write_text(json.dumps({"prefix_len": 4}))
+        argv += ["--config", str(cfg_path)]
+    assert run_cli(argv) == 2
+    missing = capsys.readouterr().err.split("the following arguments are required:")[1]
+    assert "--corpus" in missing
+    assert ("--prefix-len" in missing) != with_config
+    assert not (tmp_path / "run").exists()
+
+
+def test_infonce_eval_set_no_larger_than_negatives_exit_1(tmp_path, capsys):
+    pairs_out = tmp_path / "pairs"
+    assert run_cli(["make-pairs", "--count", "20", "--out", str(pairs_out)]) == 0
+    model = build_model(
+        ModelConfig("masked_mixer", d_model=16, n_layers=1, n_ctx=16, vocab=259, padding_side="left"), seed=0
+    )
+    ckpt = tmp_path / "gen.ckpt"
+    save_checkpoint(model, ckpt)
+    out = tmp_path / "nce"
+    assert run_cli([
+        "train-retrieval-infonce", "--checkpoint", str(ckpt), "--pairs", str(pairs_out / "pairs.tsv"),
+        "--steps", "2", "--negatives", "4", "--batches-per-update", "1", "--holdout", "4", "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "5 eval pairs for 4 negatives, got 4" in err
+    assert not (out / "model.ckpt").exists()

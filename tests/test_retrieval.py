@@ -335,3 +335,18 @@ def test_infonce_divergence_restores_last_eval_point():
     # the last eval point is step 0
     for n, p in model.params.items():
         assert np.array_equal(p.data, before[n]), n
+
+
+def test_infonce_eval_set_no_larger_than_negatives_rejected_before_step_0():
+    model = build_model(ModelConfig("masked_mixer", d_model=8, n_layers=1, n_ctx=8, vocab=259, padding_side="left"), seed=33)
+    before = {n: p.data.copy() for n, p in model.params.items()}
+    rng = np.random.default_rng(34)
+    seqs = [np.concatenate([[256] * 2, rng.integers(97, 123, size=6)]) for _ in range(20)]
+    cfg = InfoNCEConfig(negatives=4, batches_per_update=1, steps=2, eval_every=1, seed=35)
+    with pytest.raises(ValueError, match="need at least 5 eval pairs for 4 negatives, got 4"):
+        train_infonce(model, (seqs[:8], seqs[8:16]), cfg, eval_pairs=(seqs[:4], seqs[16:20]))
+    for n, p in model.params.items():
+        assert np.array_equal(p.data, before[n]), n
+    # one more eval pair is enough, and every eval loss is finite
+    report = train_infonce(model, (seqs[:8], seqs[8:16]), cfg, eval_pairs=(seqs[:5], seqs[15:20]))
+    assert all(np.isfinite(r.eval_loss) for r in report.records)
