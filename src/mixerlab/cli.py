@@ -21,7 +21,7 @@ from .checkpoint import (
 from .data import PAD_ID, ChunkStore, TokenSequence, Tokenizer, build_corpus, load_pairs, pairs_to_sequences, synthetic_pairs, write_pairs
 from .inversion import INVERSION_CSV_HEADER, InversionConfig, invert_input, write_csv
 from .jl import jl_bound, jl_min_dim, jl_shorthand_dim
-from .models import ModelConfig, build_model, generate
+from .models import FAMILIES, ModelConfig, build_model, generate
 from .retrieval import (
     InfoNCEConfig,
     embed_pair_store,
@@ -31,15 +31,7 @@ from .retrieval import (
     train_infonce,
     write_accuracy_csv,
 )
-from .training import TrainConfig, train, write_metrics_csv
-
-FAMILY_BY_COMMAND = {
-    "train-clm": {"mixer": "masked_mixer", "transformer": "transformer"},
-    "train-multitoken": {"mixer": "masked_mixer", "transformer": "transformer"},
-    "train-manytoken": {"mixer": "masked_mixer", "transformer": "transformer"},
-    "train-bidir": {"mixer": "bidirectional_mixer", "transformer": "bidirectional_transformer"},
-    "train-autoencoder": {"mixer": "mixer_autoencoder", "transformer": "transformer_autoencoder"},
-}
+from .training import OBJECTIVES, TrainConfig, train, write_metrics_csv
 
 OBJECTIVE_BY_COMMAND = {
     "train-clm": "clm",
@@ -165,8 +157,10 @@ def _echo_config(args):
         json.dump(payload, fh, indent=2, sort_keys=True)
 
 
-def _model_from_flags(args, padding_side=None):
-    family = FAMILY_BY_COMMAND[args.command][args.family]
+def _model_from_flags(args):
+    """The model of a training command: block `--family` in the topology of the command's objective."""
+    wiring = (args.family, OBJECTIVES[OBJECTIVE_BY_COMMAND[args.command]])
+    family = next(name for name, entry in FAMILIES.items() if entry == wiring)
     heads = args.heads if args.heads is not None else (4 if args.family == "transformer" else 1)
     cfg = ModelConfig(
         family=family,
@@ -178,7 +172,7 @@ def _model_from_flags(args, padding_side=None):
         kernel_k=args.kernel,
         expansion=args.expansion,
         softmax_weights=args.softmax_weights,
-        padding_side=padding_side or args.pad_side,
+        padding_side=args.pad_side,
     )
     return build_model(cfg, seed=args.seed, dtype=T.dtype_for(args.precision))
 
@@ -203,7 +197,8 @@ def _run_training(args):
     def save_fn(model, tag):
         save_checkpoint(model, ckpt_dir / f"{tag}.ckpt")
 
-    report = train(model, corpus, cfg, checkpoint_path=args.out / "model.ckpt", save_fn=save_fn)
+    report = train(model, corpus, cfg, save_fn=save_fn)
+    save_checkpoint(model, args.out / "model.ckpt")
     write_metrics_csv(args.out / "metrics.csv", report)
     last = report.records[-1]
     print(f"final step {last.step}: train_loss={last.train_loss!r} eval_loss={last.eval_loss!r}")
@@ -212,14 +207,13 @@ def _run_training(args):
 
 
 def _load_pair_sequences(path, n_ctx):
-    pairs = load_pairs(path)
-    queries, targets = pairs_to_sequences(pairs, n_ctx, side="left")
-    return pairs, queries, targets
+    """(queries, targets) of a pair file, left-padded to n_ctx."""
+    return pairs_to_sequences(load_pairs(path), n_ctx, side="left")
 
 
 def _run_embed(args):
     model = load_checkpoint(args.checkpoint)
-    _, queries, targets = _load_pair_sequences(args.pairs, model.config.n_ctx)
+    queries, targets = _load_pair_sequences(args.pairs, model.config.n_ctx)
     store = embed_pair_store(model, queries, targets, model_id=str(args.checkpoint))
     save_embedding_store(store, args.out / "embeddings.ckpt")
     print(f"embedded {len(store)} pairs -> {args.out / 'embeddings.ckpt'}")
@@ -249,7 +243,7 @@ def _run_indirect(args):
 
 def _run_infonce(args):
     model = load_checkpoint(args.checkpoint)
-    _, queries, targets = _load_pair_sequences(args.pairs, model.config.n_ctx)
+    queries, targets = _load_pair_sequences(args.pairs, model.config.n_ctx)
     holdout = args.holdout if args.holdout is not None else max(1, len(queries) // 10)
     cfg = InfoNCEConfig(
         tau=args.tau, negatives=args.negatives, batches_per_update=args.batches_per_update,
@@ -266,7 +260,7 @@ def _run_infonce(args):
 
 def _run_retrieve_eval(args):
     model = load_checkpoint(args.checkpoint)
-    _, queries, targets = _load_pair_sequences(args.pairs, model.config.n_ctx)
+    queries, targets = _load_pair_sequences(args.pairs, model.config.n_ctx)
     store = embed_pair_store(model, queries, targets, model_id=str(args.checkpoint))
     sizes = [int(s) for s in args.sizes.split(",") if s]
     rows = eval_topk_accuracy(store, sizes, trials=args.trials, rng=np.random.default_rng(args.seed))

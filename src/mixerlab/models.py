@@ -14,17 +14,19 @@ from . import tensor as T
 from .data import PAD_ID, TokenSequence
 from .tensor import TRAIN32, Tensor
 
-FAMILIES = (
-    "masked_mixer",
-    "transformer",
-    "bidirectional_mixer",
-    "bidirectional_transformer",
-    "mixer_autoencoder",
-    "transformer_autoencoder",
-    "retrieval_mixer",
-)
-
-MIXER_STACK_FAMILIES = ("masked_mixer", "bidirectional_mixer", "mixer_autoencoder", "retrieval_mixer")
+# Every family is one block type ("mixer" or "transformer") wired into one
+# topology: a causal LM, a bidirectional pair of stacks, an autoencoder or
+# the retrieval scorer. The paper's comparisons fix the topology and swap
+# the block; all family-dependent code reads these two values.
+FAMILIES = {
+    "masked_mixer": ("mixer", "causal"),
+    "transformer": ("transformer", "causal"),
+    "bidirectional_mixer": ("mixer", "bidirectional"),
+    "bidirectional_transformer": ("transformer", "bidirectional"),
+    "mixer_autoencoder": ("mixer", "autoencoder"),
+    "transformer_autoencoder": ("transformer", "autoencoder"),
+    "retrieval_mixer": ("mixer", "retrieval"),
+}
 
 FF_MULT = 4  # channel-mixing hidden width multiplier
 
@@ -80,19 +82,23 @@ class ModelConfig:
             raise ValueError(f"n_heads={self.n_heads} must divide d_model={self.d_model}")
         if self.expansion == 2 and self.n_heads > 1:
             raise ValueError("expanded token mixing cannot be combined with multiple heads")
-        if self.softmax_weights and not self._mixer_stack():
+        if self.softmax_weights and self.block != "mixer":
             raise ValueError("softmax-transformed convolution weights apply to mixer families only")
-        if self._transformer_stack():
+        if self.block == "transformer":
             if self.kernel_k != 1 or self.expansion != 1:
                 raise ValueError("kernel_k and expansion are mixer knobs; transformers require 1")
             if (self.d_model // self.n_heads) % 2 != 0:
                 raise ValueError("head width must be even for rotary pairing")
 
-    def _mixer_stack(self):
-        return self.family in MIXER_STACK_FAMILIES
+    @property
+    def block(self):
+        """The block type of every stack: "mixer" or "transformer"."""
+        return FAMILIES[self.family][0]
 
-    def _transformer_stack(self):
-        return self.family in ("transformer", "bidirectional_transformer", "transformer_autoencoder")
+    @property
+    def topology(self):
+        """How the stacks are wired: "causal", "bidirectional", "autoencoder" or "retrieval"."""
+        return FAMILIES[self.family][1]
 
 
 @dataclass
@@ -155,19 +161,18 @@ def _stack_param_specs(cfg, prefix, mixer):
 
 def _param_specs(cfg):
     d, v = cfg.d_model, cfg.vocab
-    fam = cfg.family
-    mixer = cfg._mixer_stack()
-    if fam == "retrieval_mixer":
-        yield from _stack_param_specs(cfg, "", True)
+    mixer = cfg.block == "mixer"
+    if cfg.topology == "retrieval":
+        yield from _stack_param_specs(cfg, "", mixer)
         yield "head", (d, 1), "linear"
         return
     # embedding convention follows each family's lineage: unit-normal for
     # mixer stacks, 0.02-normal for transformer stacks
     yield "wte", (d, v), "embedding" if mixer else "hf"
-    if fam in ("masked_mixer", "transformer"):
+    if cfg.topology == "causal":
         yield from _stack_param_specs(cfg, "", mixer)
         yield "lm_head", (d, v), "head"
-    elif fam in ("bidirectional_mixer", "bidirectional_transformer"):
+    elif cfg.topology == "bidirectional":
         yield from _stack_param_specs(cfg, "fwd.", mixer)
         if cfg.bidir_separate_wte:
             yield "wte_rev", (d, v), "embedding"
@@ -175,7 +180,7 @@ def _param_specs(cfg):
         yield "combine_fwd", (d, d), "linear"
         yield "combine_rev", (d, d), "linear"
         yield "lm_head", (d, v), "head"
-    else:  # autoencoders
+    else:  # autoencoder
         yield from _stack_param_specs(cfg, "enc.", mixer)
         yield from _stack_param_specs(cfg, "dec.", mixer)
         yield "lm_head", (d, v), "head"
@@ -303,7 +308,7 @@ def _run_stack(model, prefix, e, mask_dir, ids=None):
     """
     cfg = model.config
     params = model.params
-    mixer = cfg._mixer_stack()
+    mixer = cfg.block == "mixer"
     rope = None if mixer else _rope_cache(cfg.n_ctx, cfg.d_model // cfg.n_heads, e.dtype)
     allowed = None if mixer else _allowed_attention(cfg, mask_dir, ids)
     hiddens = [e]
@@ -354,28 +359,12 @@ def _rows_at(h, positions):
 # same leading axes on its outputs: logits are (..., n_ctx, vocab) and
 # hidden states (..., n_ctx, d_model). Sequences in a batch never mix.
 
-def mixer_forward(model, tokens):
-    """Causal logits and per-layer hidden states for a masked mixer."""
-    cfg = model.config
-    ids = _as_ids(tokens, cfg)
-    e = T.embedding_lookup(model.params["wte"], ids)
-    return forward_from_embedding(model, e)
-
-
-def transformer_forward(model, tokens):
-    """Causal logits and hidden states for the rotary-attention baseline."""
-    cfg = model.config
-    ids = _as_ids(tokens, cfg)
-    e = T.embedding_lookup(model.params["wte"], ids)
-    return forward_from_embedding(model, e, ids=ids)
-
-
 def forward_from_embedding(model, e, ids=None):
     """Causal logits and hidden states from embeddings, for both causal families.
 
     `ids` only masks pad keys in attention; mixers ignore it.
     """
-    if model.config.family not in ("masked_mixer", "transformer"):
+    if model.config.topology != "causal":
         raise ValueError(f"embedding-level forward not defined for {model.config.family}")
     hiddens = _run_stack(model, "", e, "forward", ids=ids)
     logits = T.matmul(hiddens[-1], model.params["lm_head"])
@@ -437,16 +426,16 @@ def retrieval_mixer_forward(model, embeddings):
 
 
 def forward(model, tokens):
-    fam = model.config.family
-    if fam == "masked_mixer":
-        return mixer_forward(model, tokens)
-    if fam == "transformer":
-        return transformer_forward(model, tokens)
-    if fam in ("bidirectional_mixer", "bidirectional_transformer"):
+    """Logits and auxiliary outputs of any token-input family, by its topology."""
+    cfg = model.config
+    if cfg.topology == "bidirectional":
         return bidirectional_forward(model, tokens)
-    if fam in ("mixer_autoencoder", "transformer_autoencoder"):
+    if cfg.topology == "autoencoder":
         return autoencoder_forward(model, tokens)
-    raise ValueError(f"forward(model, tokens) undefined for family {fam!r}; retrieval_mixer takes embeddings")
+    if cfg.topology == "retrieval":
+        raise ValueError(f"forward(model, tokens) undefined for family {cfg.family!r}; retrieval_mixer takes embeddings")
+    ids = _as_ids(tokens, cfg)
+    return forward_from_embedding(model, T.embedding_lookup(model.params["wte"], ids), ids=ids)
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +465,10 @@ def generate(model, prompt, n_new):
 def _embed(model, tokens):
     cfg = model.config
     ids = _as_ids(tokens, cfg)
-    fam = cfg.family
-    if fam not in ("masked_mixer", "transformer", "mixer_autoencoder", "transformer_autoencoder"):
-        raise ValueError(f"no embedding convention for family {fam!r}")
+    if cfg.topology not in ("causal", "autoencoder"):
+        raise ValueError(f"no embedding convention for family {cfg.family!r}")
     second_last = _nth_last_nonpad(ids, 2)  # also rejects sequences with fewer than two non-pad tokens
-    if fam in ("mixer_autoencoder", "transformer_autoencoder"):
+    if cfg.topology == "autoencoder":
         rows = _encode(model, ids)[1]
     else:
         e = T.embedding_lookup(model.params["wte"], ids)
@@ -509,5 +497,5 @@ def intertoken_param_count(cfg):
     """Closed-form count of token-mixing parameters (weights, before masking)."""
     s, k = cfg.n_ctx, cfg.kernel_k
     per_layer = cfg.n_heads * k * s * s if cfg.expansion == 1 else 2 * 2 * k * s * s
-    stacks = 2 if cfg.family.startswith("bidirectional") or cfg.family.endswith("autoencoder") else 1
+    stacks = 2 if cfg.topology in ("bidirectional", "autoencoder") else 1
     return cfg.n_layers * per_layer * stacks

@@ -71,8 +71,6 @@ class InfoNCEConfig:
     seed: int = 0
     eval_every: int = 100
     weight_decay: float = 0.01
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     grad_clip: float = 1.0
 
     def __post_init__(self):
@@ -192,6 +190,13 @@ def normalize_store(store, holdout, dim=16):
 # ---------------------------------------------------------------------------
 # candidate-set sampling
 
+def _others(size, n, count, rng):
+    """`count` distinct indices drawn uniformly from range(size), never n."""
+    weights = np.ones(size)
+    weights[n] = 0.0
+    return multinomial_sample(weights, count, rng)
+
+
 def sample_retrieval_batch(store, n, c, rng):
     """Assemble one c-row candidate set for query n with a planted match.
 
@@ -201,9 +206,7 @@ def sample_retrieval_batch(store, n, c, rng):
     size = len(store)
     if c - 1 > size - 1:
         raise ValueError(f"candidate count {c} needs at least {c} stored pairs, have {size}")
-    weights = np.ones(size)
-    weights[n] = 0.0
-    r = multinomial_sample(weights, c - 1, rng)
+    r = _others(size, n, c - 1, rng)
     a = np.empty((c, store.queries.shape[1]), dtype=store.targets.dtype)
     a[0] = store.queries[n]
     a[1:] = store.targets[r]
@@ -216,9 +219,7 @@ def sample_retrieval_batch(store, n, c, rng):
 
 def sample_sequence_batch(target_seqs, n, count, rng):
     """Token-level analogue: `count` negative target sequences for pair n."""
-    weights = np.ones(len(target_seqs))
-    weights[n] = 0.0
-    return [target_seqs[j] for j in multinomial_sample(weights, count, rng)]
+    return [target_seqs[j] for j in _others(len(target_seqs), n, count, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +327,7 @@ def train_infonce(model, pair_corpus, cfg, eval_pairs=None):
         if eval_pairs is None:
             return float("nan")
         eval_rng = np.random.default_rng(cfg.seed + 1)
-        negs = []
-        for n in range(len(eq)):
-            weights = np.ones(len(et))
-            weights[n] = 0.0
-            negs.append(multinomial_sample(weights, cfg.negatives, eval_rng))
+        negs = [_others(len(et), n, cfg.negatives, eval_rng) for n in range(len(eq))]
         q = _embed_rows(model, np.stack([_as_ids(s, cfg_m) for s in eq]))
         t = _embed_rows(model, np.stack([_as_ids(s, cfg_m) for s in et]))
         with T.no_grad():
@@ -391,9 +388,7 @@ def eval_topk_accuracy(store, sample_sizes, trials, rng=None):
         hits = 0
         for _ in range(trials):
             idx = int(rng.integers(0, size))
-            weights = np.ones(size)
-            weights[idx] = 0.0
-            distractors = multinomial_sample(weights, n - 2, rng)
+            distractors = _others(size, idx, n - 2, rng)
             candidates = np.concatenate([store.targets[idx:idx + 1], store.targets[distractors]])
             top, _ = retrieve_topk(store.queries[idx], candidates, 1)
             hits += top[0] == 0

@@ -14,22 +14,24 @@ import numpy as np
 
 from . import tensor as T
 from .data import PAD_ID
-from .models import (
-    autoencoder_forward,
-    bidirectional_forward,
-    forward,
-    forward_from_embedding,
-)
+from .models import forward, forward_from_embedding
 from .tensor import Tensor, backward
 
-OBJECTIVES = ("clm", "multi_token", "many_token", "bidirectional", "autoencoder")
+# The model topology each objective trains (see models.FAMILIES); either
+# block type can fill it.
+OBJECTIVES = {
+    "clm": "causal",
+    "multi_token": "causal",
+    "many_token": "causal",
+    "bidirectional": "bidirectional",
+    "autoencoder": "autoencoder",
+}
 
-MIXER_LR = 5e-4
-TRANSFORMER_LR = 2e-4
+# Learning rate of `train` when TrainConfig.lr is None, by block type.
+DEFAULT_LR = {"mixer": 5e-4, "transformer": 2e-4}
 
-
-def default_lr(family):
-    return TRANSFORMER_LR if "transformer" in family else MIXER_LR
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -37,10 +39,8 @@ class TrainConfig:
     objective: str = "clm"
     batch_size: int = 8
     steps: int = 100
-    lr: float = None  # per-family default when None
-    betas: tuple = (0.9, 0.999)
+    lr: float = None  # DEFAULT_LR of the model's block when None
     weight_decay: float = 0.01
-    eps: float = 1e-8
     seed: int = 0
     eval_every: int = 50
     multi_m: int = 1
@@ -72,8 +72,6 @@ class EvalRecord:
 class TrainReport:
     records: list = field(default_factory=list)
     step_losses: list = field(default_factory=list)  # (step, loss, lr, tokens_seen)
-    final_step: int = 0
-    checkpoint_id: str = ""
 
     def final_eval_loss(self):
         return self.records[-1].eval_loss
@@ -114,7 +112,7 @@ def adamw_state(model):
 
 def adamw_step(params, grads, state, cfg, step, lr_t):
     """Decoupled-weight-decay Adam update; `step` is 1-based for bias correction."""
-    b1, b2 = cfg.betas
+    b1, b2 = ADAM_BETAS
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -124,7 +122,7 @@ def adamw_step(params, grads, state, cfg, step, lr_t):
         s["v"] = b2 * s["v"] + (1.0 - b2) * (g * g)
         m_hat = s["m"] / (1.0 - b1**step)
         v_hat = s["v"] / (1.0 - b2**step)
-        p.data = p.data - lr_t * (m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * p.data)
+        p.data = p.data - lr_t * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + cfg.weight_decay * p.data)
 
 
 def clip_global_norm(grads, max_norm):
@@ -139,21 +137,10 @@ def clip_global_norm(grads, max_norm):
 # ---------------------------------------------------------------------------
 # objective losses
 
-def _token_loss(logits, targets):
-    """Mean cross-entropy over every non-pad target of a (..., n, vocab) logit block."""
+def _token_loss(logits, targets, reduction="mean"):
+    """Cross-entropy over every non-pad target of a (..., n, vocab) logit block."""
     flat = T.reshape(logits, (-1, logits.data.shape[-1]))
-    return T.cross_entropy(flat, np.asarray(targets).reshape(-1), ignore_id=PAD_ID)
-
-
-def _shifted_loss(model, batch, shifts):
-    """All-next-token loss; several shift widths share one forward pass."""
-    logits, _ = forward(model, batch)
-    n = model.config.n_ctx
-    loss = None
-    for s in shifts:
-        shift_loss = _token_loss(T.narrow(logits, -2, 0, n - s), batch[:, s:])
-        loss = shift_loss if loss is None else T.add(loss, shift_loss)
-    return loss
+    return T.cross_entropy(flat, np.asarray(targets).reshape(-1), ignore_id=PAD_ID, reduction=reduction)
 
 
 def many_token_logits(model, ids, prefix_len):
@@ -176,10 +163,27 @@ def many_token_logits(model, ids, prefix_len):
     return logits
 
 
-def _many_token_loss(model, batch, prefix_len):
+def _nonpad_rows(batch):
+    """The sequences of a (batch, n_ctx) id array that hold a non-pad token."""
+    batch = np.asarray(batch)
+    return batch[(batch != PAD_ID).any(axis=1)]
+
+
+def _loss_terms(model, batch, cfg):
+    """(logits, targets) blocks of one batch; the objective's loss sums their mean token losses.
+
+    multi_token has one block per shift width, all from one forward pass;
+    every other objective has one block.
+    """
     n = model.config.n_ctx
-    logits = many_token_logits(model, batch, prefix_len)
-    return _token_loss(T.narrow(logits, -2, prefix_len - 1, n - prefix_len), batch[:, prefix_len:])
+    if cfg.objective == "many_token":
+        logits = many_token_logits(model, batch, cfg.prefix_len)
+        return [(T.narrow(logits, -2, cfg.prefix_len - 1, n - cfg.prefix_len), batch[:, cfg.prefix_len:])]
+    logits, _ = forward(model, batch)
+    if OBJECTIVES[cfg.objective] != "causal":
+        return [(logits, batch)]
+    shifts = range(1, cfg.multi_m + 1) if cfg.objective == "multi_token" else [1]
+    return [(T.narrow(logits, -2, 0, n - s), batch[:, s:]) for s in shifts]
 
 
 def batch_loss(model, batch, cfg):
@@ -188,31 +192,20 @@ def batch_loss(model, batch, cfg):
     Pad-only sequences are dropped first: they carry no target, and
     leaving them out keeps the loss bit-identical with or without them.
     """
-    batch = np.asarray(batch)
-    batch = batch[(batch != PAD_ID).any(axis=1)]
+    batch = _nonpad_rows(batch)
     if len(batch) == 0:
         raise ValueError("empty loss: batch contains no unmasked target positions")
-    if cfg.objective == "clm":
-        return _shifted_loss(model, batch, [1])
-    if cfg.objective == "multi_token":
-        return _shifted_loss(model, batch, list(range(1, cfg.multi_m + 1)))
-    if cfg.objective == "many_token":
-        return _many_token_loss(model, batch, cfg.prefix_len)
-    forward_fn = bidirectional_forward if cfg.objective == "bidirectional" else autoencoder_forward
-    return _token_loss(forward_fn(model, batch)[0], batch)
+    loss = None
+    for logits, targets in _loss_terms(model, batch, cfg):
+        term = _token_loss(logits, targets)
+        loss = term if loss is None else T.add(loss, term)
+    return loss
 
 
 def _check_family(model, cfg):
-    fam = model.config.family
-    wants = {
-        "clm": ("masked_mixer", "transformer"),
-        "multi_token": ("masked_mixer", "transformer"),
-        "many_token": ("masked_mixer", "transformer"),
-        "bidirectional": ("bidirectional_mixer", "bidirectional_transformer"),
-        "autoencoder": ("mixer_autoencoder", "transformer_autoencoder"),
-    }[cfg.objective]
-    if fam not in wants:
-        raise ValueError(f"objective {cfg.objective!r} expects family in {wants}, got {fam!r}")
+    topology = OBJECTIVES[cfg.objective]
+    if model.config.topology != topology:
+        raise ValueError(f"objective {cfg.objective!r} trains a {topology} family, got {model.config.family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +222,27 @@ def _batches(store, batch_size, rng):
 
 
 def evaluate(model, store, cfg):
-    losses = []
-    counts = []
-    n = len(store)
-    b = min(cfg.batch_size, n)
+    """batch_loss over the whole store, computed `cfg.batch_size` sequences at a time.
+
+    Each loss term's cross-entropy sum and target count accumulate over
+    the batches, so the result is the per-token mean of every term over
+    the store, whatever the batch boundaries. Raises only where one
+    batch_loss over the store would: when some term has no target at all.
+    """
+    sums, counts = {}, {}
     with T.no_grad():
-        for start in range(0, n, b):
-            batch = store.ids[start:start + b]
-            losses.append(batch_loss(model, batch, cfg).item())
-            counts.append(len(batch))
-    return float(np.average(losses, weights=counts))
+        for start in range(0, len(store), cfg.batch_size):
+            batch = _nonpad_rows(store.ids[start:start + cfg.batch_size])
+            if len(batch) == 0:
+                continue
+            for i, (logits, targets) in enumerate(_loss_terms(model, batch, cfg)):
+                count = int(np.sum(targets != PAD_ID))
+                if count:
+                    sums[i] = sums.get(i, 0.0) + _token_loss(logits, targets, reduction="sum").item()
+                counts[i] = counts.get(i, 0) + count
+    if not counts or not all(counts.values()):
+        raise ValueError("empty loss: the store contains no unmasked target positions")
+    return float(sum(sums[i] / counts[i] for i in counts))
 
 
 def _run_steps(model, cfg, lr_at, step_loss, eval_loss, tokens_per_step, first_loss=float("nan"), save_fn=None):
@@ -291,11 +295,10 @@ def _run_steps(model, cfg, lr_at, step_loss, eval_loss, tokens_per_step, first_l
                 raise diverged(step)
             last_good = record(step + 1, np.mean(since_eval))
             since_eval = []
-    report.final_step = cfg.steps
     return report
 
 
-def train(model, corpus, cfg, checkpoint_path=None, save_fn=None):
+def train(model, corpus, cfg, save_fn=None):
     """Run one training job and return its per-eval report.
 
     `corpus` is a (train_store, eval_store) pair. A non-finite loss or
@@ -313,12 +316,12 @@ def train(model, corpus, cfg, checkpoint_path=None, save_fn=None):
             rng0.normal(0.0, 0.02, size=(1, model.config.d_model)).astype(model.dtype), requires_grad=True
         )
 
-    lr0 = cfg.lr if cfg.lr is not None else default_lr(model.config.family)
+    lr0 = cfg.lr if cfg.lr is not None else DEFAULT_LR[model.config.block]
     b = min(cfg.batch_size, len(train_store))
     stream = _batches(train_store, cfg.batch_size, np.random.default_rng(cfg.seed))
     with T.no_grad():
         first_loss = batch_loss(model, train_store.ids[:b], cfg).item()
-    report = _run_steps(
+    return _run_steps(
         model, cfg,
         lr_at=lambda step: cfg.lr_at(step, lr0),
         step_loss=lambda: batch_loss(model, next(stream), cfg),
@@ -327,9 +330,3 @@ def train(model, corpus, cfg, checkpoint_path=None, save_fn=None):
         first_loss=first_loss,
         save_fn=save_fn,
     )
-    if checkpoint_path:
-        from .checkpoint import save_checkpoint
-
-        save_checkpoint(model, checkpoint_path)
-        report.checkpoint_id = str(checkpoint_path)
-    return report

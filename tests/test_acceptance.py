@@ -23,7 +23,6 @@ from mixerlab.models import (
     build_model,
     count_params,
     forward,
-    mixer_forward,
 )
 from mixerlab.retrieval import (
     EmbeddingStore,
@@ -174,7 +173,7 @@ def test_criterion_2_gradient_suite():
             saved = model.params[_name]
             model.params[_name] = x
             try:
-                logits, _ = mixer_forward(model, ids)
+                logits, _ = forward(model, ids)
                 return T.cross_entropy(logits, targets)
             finally:
                 model.params[_name] = saved

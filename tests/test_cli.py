@@ -178,17 +178,25 @@ def test_infonce_cli_smoke(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
+TRAINING_COMMANDS = {  # command: (extra flags, family for --family mixer, for --family transformer)
+    "train-clm": ([], "masked_mixer", "transformer"),
+    "train-multitoken": (["--m", "2"], "masked_mixer", "transformer"),
+    "train-manytoken": (["--prefix-len", "4"], "masked_mixer", "transformer"),
+    "train-bidir": ([], "bidirectional_mixer", "bidirectional_transformer"),
+    "train-autoencoder": ([], "mixer_autoencoder", "transformer_autoencoder"),
+}
+
+
 def test_bidir_multitoken_manytoken_autoencoder_commands(tmp_path, corpus_file):
     base = [
         "--corpus", str(corpus_file), "--steps", "3", "--batch-size", "2",
         "--d-model", "16", "--n-layers", "1", "--n-ctx", "8",
     ]
-    assert run_cli(["train-bidir", *base, "--out", str(tmp_path / "b")]) == 0
-    assert run_cli(["train-multitoken", *base, "--m", "2", "--out", str(tmp_path / "m")]) == 0
-    assert run_cli(["train-manytoken", *base, "--prefix-len", "4", "--out", str(tmp_path / "p")]) == 0
-    assert run_cli(["train-autoencoder", *base, "--out", str(tmp_path / "a")]) == 0
-    for sub in ("b", "m", "p", "a"):
-        assert (tmp_path / sub / "model.ckpt").exists()
+    for command, (extra, *families) in TRAINING_COMMANDS.items():
+        for flag, family in zip(("mixer", "transformer"), families):
+            out = tmp_path / f"{command}-{flag}"
+            assert run_cli([command, *base, *extra, "--family", flag, "--out", str(out)]) == 0
+            assert load_checkpoint(out / "model.ckpt").config.family == family, (command, flag)
 
 
 @pytest.mark.parametrize("case", ["last-argument", "missing-file", "not-json", "not-an-object"])

@@ -15,10 +15,8 @@ from mixerlab.models import (
     forward,
     generate,
     intertoken_param_count,
-    mixer_forward,
     retrieval_mixer_forward,
     sequence_embedding,
-    transformer_forward,
 )
 from mixerlab.tensor import CHECK64, Tensor, backward
 
@@ -86,7 +84,7 @@ def test_reverse_mask_is_transpose_and_none_is_ones():
 def test_mixer_logits_finite_and_position_dependent():
     cfg = tiny(n_ctx=4)
     model = build_model(cfg, seed=0, dtype=CHECK64)
-    logits, hiddens = mixer_forward(model, np.array([1, 2, 3, 4]))
+    logits, hiddens = forward(model, np.array([1, 2, 3, 4]))
     assert logits.data.shape == (4, cfg.vocab)
     assert np.all(np.isfinite(logits.data))
     assert not np.allclose(logits.data[0], logits.data[-1])
@@ -98,8 +96,8 @@ def test_flat_vs_expanded_differ_but_both_causal():
     wide = build_model(tiny(expansion=2), seed=7, dtype=CHECK64)
     ids = np.arange(8) % 13
     with T.no_grad():
-        a = mixer_forward(flat, ids)[0].data
-        b = mixer_forward(wide, ids)[0].data
+        a = forward(flat, ids)[0].data
+        b = forward(wide, ids)[0].data
     assert not np.allclose(a, b)
     rng = np.random.default_rng(8)
     assert causality_violations(wide, rng, cases=8) == 0
@@ -113,7 +111,7 @@ def test_degenerate_variants_collapse_to_flat():
         assert np.array_equal(flat.params[name].data, degen.params[name].data), name
     ids = np.arange(8) % 13
     with T.no_grad():
-        assert np.array_equal(mixer_forward(flat, ids)[0].data, mixer_forward(degen, ids)[0].data)
+        assert np.array_equal(forward(flat, ids)[0].data, forward(degen, ids)[0].data)
 
 
 def test_softmax_weight_rows_normalized():
@@ -132,7 +130,7 @@ def test_token_id_out_of_range_rejected():
     ids = np.zeros(8, dtype=np.int64)
     ids[3] = 259
     with pytest.raises(ValueError, match="out of range"):
-        mixer_forward(model, ids)
+        forward(model, ids)
 
 
 def test_single_head_transformer_matches_concatenated_projection():
@@ -140,8 +138,8 @@ def test_single_head_transformer_matches_concatenated_projection():
     model = build_model(cfg, seed=13, dtype=CHECK64)
     ids = np.arange(8) % 13
     with T.no_grad():
-        ref = transformer_forward(model, ids)[0].data
-        again = transformer_forward(model, ids)[0].data
+        ref = forward(model, ids)[0].data
+        again = forward(model, ids)[0].data
     assert np.array_equal(ref, again)
 
 
@@ -179,7 +177,7 @@ def test_bidirectional_forward_half_equals_standard_mixer():
         std.params[name].data = bidir.params[src].data.copy()
     ids = np.arange(8) % 13
     with T.no_grad():
-        std_logits = mixer_forward(std, ids)[0].data
+        std_logits = forward(std, ids)[0].data
         _, aux = bidirectional_forward(bidir, ids)
         half = (aux["h_fwd"].data @ bidir.params["lm_head"].data)
     assert np.array_equal(std_logits, half)
@@ -294,7 +292,7 @@ def test_generate_matches_manual_stepwise_argmax():
     filled = 2
     for _ in range(3):
         with T.no_grad():
-            logits, _ = mixer_forward(model, seq)
+            logits, _ = forward(model, seq)
         seq[filled] = int(np.argmax(logits.data[filled - 1]))
         filled += 1
     assert np.array_equal(out, seq[:5].astype(np.int32))
@@ -328,7 +326,7 @@ def test_sequence_embedding_second_to_last_nonpad():
     ids = np.array([PAD_ID, PAD_ID, PAD_ID, PAD_ID, 1, 2, 3, 4])
     emb = sequence_embedding(model, ids)
     with T.no_grad():
-        _, hiddens = mixer_forward(model, ids)
+        _, hiddens = forward(model, ids)
     assert np.array_equal(emb, hiddens[-1].data[6])
 
 
@@ -375,7 +373,7 @@ def test_full_model_gradient_matches_finite_differences():
             saved = model.params[_name]
             model.params[_name] = x
             try:
-                logits, _ = mixer_forward(model, ids)
+                logits, _ = forward(model, ids)
                 return T.cross_entropy(logits, targets)
             finally:
                 model.params[_name] = saved

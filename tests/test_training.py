@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from mixerlab import tensor as T
-from mixerlab.data import PAD_ID, build_corpus
-from mixerlab.models import ModelConfig, build_model
+from mixerlab.data import PAD_ID, ChunkStore, build_corpus, chunk_and_pad
+from mixerlab.models import FAMILIES, ModelConfig, build_model
 from mixerlab.tensor import CHECK64, Tensor, backward
 from mixerlab.training import (
+    ADAM_BETAS,
+    ADAM_EPS,
+    OBJECTIVES,
     TrainConfig,
     TrainingDiverged,
     adamw_state,
     adamw_step,
     batch_loss,
     clip_global_norm,
+    evaluate,
     many_token_logits,
     train,
 )
@@ -47,10 +51,10 @@ def test_adamw_single_step_closed_form():
     state = adamw_state(type("M", (), {"params": params})())
     g = np.array([0.5])
     adamw_step(params, {"p": g}, state, cfg, step=1, lr_t=0.1)
-    b1, b2 = cfg.betas
+    b1, b2 = ADAM_BETAS
     m_hat = (1 - b1) * g / (1 - b1)
     v_hat = (1 - b2) * g * g / (1 - b2)
-    expect = 2.0 - 0.1 * (m_hat / (np.sqrt(v_hat) + cfg.eps))
+    expect = 2.0 - 0.1 * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     assert p.data == pytest.approx(expect, abs=1e-12)
     assert state["p"]["m"] == pytest.approx((1 - b1) * g)
     assert state["p"]["v"] == pytest.approx((1 - b2) * g * g)
@@ -352,7 +356,59 @@ def test_identical_seed_bit_identical_reports_check64():
         assert np.array_equal(m1.params[n].data, m2.params[n].data)
 
 
-def test_family_objective_mismatch_rejected():
-    model = build_model(mixer_cfg(), seed=19)
-    with pytest.raises(ValueError, match="objective"):
-        train(model, repeated_corpus(), TrainConfig(objective="bidirectional", steps=1, seed=0))
+TRAINABLE = {
+    ("masked_mixer", "clm"), ("transformer", "clm"),
+    ("masked_mixer", "multi_token"), ("transformer", "multi_token"),
+    ("masked_mixer", "many_token"), ("transformer", "many_token"),
+    ("bidirectional_mixer", "bidirectional"), ("bidirectional_transformer", "bidirectional"),
+    ("mixer_autoencoder", "autoencoder"), ("transformer_autoencoder", "autoencoder"),
+}
+FAMILY_OBJECTIVE = [(f, o) for f in FAMILIES for o in OBJECTIVES]
+
+
+@pytest.mark.parametrize("family,objective", FAMILY_OBJECTIVE, ids=[f"{f}-{o}" for f, o in FAMILY_OBJECTIVE])
+def test_family_objective_mismatch_rejected(family, objective):
+    model = build_model(ModelConfig(family, d_model=16, n_layers=1, n_ctx=8, vocab=259), seed=19)
+    cfg = TrainConfig(objective=objective, steps=1, batch_size=2, multi_m=2, prefix_len=4, seed=0)
+    if (family, objective) in TRAINABLE:
+        report = train(model, repeated_corpus(n_ctx=8), cfg)
+        assert np.isfinite(report.step_losses[0][1])
+    else:
+        with pytest.raises(ValueError, match=f"objective '{objective}'"):
+            train(model, repeated_corpus(n_ctx=8), cfg)
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+EVAL_FAMILY = {
+    "clm": "masked_mixer", "multi_token": "masked_mixer", "many_token": "masked_mixer",
+    "bidirectional": "bidirectional_mixer", "autoencoder": "mixer_autoencoder",
+}
+
+
+@pytest.mark.parametrize("objective", list(EVAL_FAMILY))
+def test_evaluate_equals_one_batch_loss_over_the_store(objective):
+    """Batches holding different numbers of targets still weigh every target once."""
+    model = build_model(ModelConfig(EVAL_FAMILY[objective], d_model=8, n_layers=1, n_ctx=8, vocab=259), seed=40, dtype=CHECK64)
+    model.params["many_token_placeholder"] = Tensor(np.full((1, 8), 0.01), requires_grad=True)
+    rng = np.random.default_rng(41)
+    store = ChunkStore(chunk_and_pad(rng.integers(0, 256, size=19).tolist(), 8))  # 8 + 8 + 3 tokens
+    cfg = TrainConfig(objective=objective, batch_size=2, multi_m=2, prefix_len=2)
+    with T.no_grad():
+        whole = batch_loss(model, store.ids, cfg).item()
+    assert evaluate(model, store, cfg) == pytest.approx(whole, abs=1e-12)
+
+
+def test_eval_batch_without_targets_does_not_abort_training():
+    corpus = build_corpus("abcdefgh" * 5 + "z", n_ctx=8, split_ratio=0.5, seed=3, inline=True)
+    model = build_model(ModelConfig("masked_mixer", d_model=8, n_layers=1, n_ctx=8, vocab=259), seed=42)
+    report = train(model, corpus, TrainConfig(objective="clm", steps=2, batch_size=2, seed=0))
+    assert all(np.isfinite(r.eval_loss) for r in report.records)
+
+
+def test_evaluate_store_without_targets_rejected():
+    model = build_model(mixer_cfg(), seed=43)
+    store = ChunkStore(chunk_and_pad([5], 16))
+    with pytest.raises(ValueError, match="empty loss"):
+        evaluate(model, store, TrainConfig(objective="clm"))
