@@ -3,8 +3,6 @@
 Run:  python3 demos/02_train_masked_mixer.py
 """
 
-import numpy as np
-
 from mixerlab.data import Tokenizer, build_corpus
 from mixerlab.models import ModelConfig, build_model, generate
 from mixerlab.training import TrainConfig, train

@@ -7,6 +7,8 @@ bit-exactly; corrupt files are rejected with the offending byte offset.
 """
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict
 
@@ -39,8 +41,13 @@ class _Reader:
     def __init__(self, fh):
         self.fh = fh
         self.offset = 0
+        self.size = os.fstat(fh.fileno()).st_size
 
     def take(self, n, what):
+        if n > self.size - self.offset:
+            raise CheckpointFormatError(
+                f"{what} needs {n} bytes but {self.size - self.offset} remain at byte {self.offset}"
+            )
         data = self.fh.read(n)
         if len(data) != n:
             raise CheckpointFormatError(f"truncated while reading {what} at byte {self.offset}")
@@ -52,7 +59,23 @@ class _Reader:
         return self.take(n, what)
 
     def take_str(self, what):
-        return self.take_bytes(what).decode("utf-8")
+        start = self.offset + 4
+        try:
+            return self.take_bytes(what).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointFormatError(f"{what} is not UTF-8 at byte {start + err.start}") from None
+
+    def take_json_object(self, what):
+        start = self.offset + 4
+        text = self.take_str(what)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as err:
+            at = start + len(text[: err.pos].encode("utf-8"))
+            raise CheckpointFormatError(f"{what} is not valid JSON at byte {at}: {err.msg}") from None
+        if not isinstance(obj, dict):
+            raise CheckpointFormatError(f"{what} at byte {start} is a JSON {type(obj).__name__}, not an object")
+        return obj
 
 
 def write_container(path, config_obj, tensors):
@@ -86,7 +109,7 @@ def read_container(path):
         (version,) = struct.unpack("<I", r.take(4, "version"))
         if version != VERSION:
             raise CheckpointFormatError(f"unknown container version {version} at byte {len(MAGIC)}")
-        config_obj = json.loads(r.take_bytes("config blob"))
+        config_obj = r.take_json_object("config blob")
         (count,) = struct.unpack("<Q", r.take(8, "tensor count"))
         tensors = {}
         for _ in range(count):
@@ -96,7 +119,7 @@ def read_container(path):
                 raise CheckpointFormatError(f"unknown dtype tag {tag!r} at byte {r.offset}")
             (ndim,) = struct.unpack("<I", r.take(4, "ndim"))
             shape = tuple(struct.unpack("<Q", r.take(8, "shape dim"))[0] for _ in range(ndim))
-            n_bytes = int(np.prod(shape, dtype=np.int64)) * _DTYPE_TAGS[tag].itemsize
+            n_bytes = math.prod(shape) * _DTYPE_TAGS[tag].itemsize
             raw = r.take(n_bytes, f"tensor {name!r} data")
             tensors[name] = np.frombuffer(raw, dtype=_DTYPE_TAGS[tag]).reshape(shape).copy()
         trailing = fh.read(1)

@@ -18,8 +18,8 @@ from .checkpoint import (
     save_checkpoint,
     save_embedding_store,
 )
-from .data import PAD_ID, ChunkStore, TokenSequence, Tokenizer, build_corpus, load_pairs, pairs_to_sequences, synthetic_pairs, write_pairs
-from .inversion import INVERSION_CSV_HEADER, InversionConfig, invert_input, write_csv
+from .data import Tokenizer, build_corpus, load_pairs, pairs_to_sequences, synthetic_pairs, write_pairs
+from .inversion import InversionConfig, invert_input, write_csv
 from .jl import jl_bound, jl_min_dim, jl_shorthand_dim
 from .models import FAMILIES, ModelConfig, build_model, generate
 from .retrieval import (

@@ -103,9 +103,13 @@ def decode_embedding(w, e):
     model families add any to their embeddings.
     """
     w = w.data if isinstance(w, Tensor) else np.asarray(w)
+    return _decode(pinv(w), e)
+
+
+def _decode(w_pinv, e):
+    """decode_embedding given the embedding matrix's pseudoinverse."""
     e = e.data if isinstance(e, Tensor) else np.asarray(e)
-    scores = pinv(w) @ e.T
-    return np.argmax(scores, axis=0).astype(np.int32)
+    return np.argmax(w_pinv @ e.T, axis=0).astype(np.int32)
 
 
 def _target_slice(hiddens, cfg_inv):
@@ -127,26 +131,34 @@ class CalibrationResult:
     decode_stable: bool
 
 
+def _checked_ids(model, tokens, cfg):
+    cfg_m = model.config
+    ids = _as_ids(tokens, cfg_m)
+    if not -(cfg_m.n_layers + 2) <= cfg.target_layer < cfg_m.n_layers + 2:
+        raise ValueError(f"target layer {cfg.target_layer} out of range")
+    return ids
+
+
 def calibrate_epsilon(model, tokens, cfg, rng=None):
     """Activation shift caused by tiny Gaussian noise on the true embedding.
 
     Also checks that the noise leaves the pseudoinverse decode unchanged;
     a violation is recorded, not fatal.
     """
-    cfg_m = model.config
-    ids = _as_ids(tokens, cfg_m)
-    if not -(cfg_m.n_layers + 2) <= cfg.target_layer < cfg_m.n_layers + 2:
-        raise ValueError(f"target layer {cfg.target_layer} out of range")
+    ids = _checked_ids(model, tokens, cfg)
     rng = rng or np.random.default_rng(cfg.seed + 1)
-    dtype = model.dtype
+    return _calibrate(model, ids, cfg, rng, pinv(model.params["wte"].data))
+
+
+def _calibrate(model, ids, cfg, rng, w_pinv):
+    """calibrate_epsilon given the embedding matrix's pseudoinverse."""
     e_true = T.embedding_lookup(model.params["wte"], ids).data
-    noise = rng.normal(0.0, cfg.calib_noise_std, size=e_true.shape).astype(dtype)
+    noise = rng.normal(0.0, cfg.calib_noise_std, size=e_true.shape).astype(model.dtype)
     with T.no_grad():
         _, base = _activations(model, e_true, ids, cfg)
         _, shifted = _activations(model, e_true + noise, ids, cfg)
     epsilon = float(np.abs(shifted.data - base.data).sum())
-    w = model.params["wte"]
-    stable = bool(np.array_equal(decode_embedding(w, e_true), decode_embedding(w, e_true + noise)))
+    stable = bool(np.array_equal(_decode(w_pinv, e_true), _decode(w_pinv, e_true + noise)))
     return CalibrationResult(epsilon=epsilon, decode_stable=stable)
 
 
@@ -156,10 +168,7 @@ def invert_input(model, tokens, cfg, model_id=""):
     Returns the best iterate's decode, its Hamming distance to the truth,
     and the epsilon-calibrated convergence verdict.
     """
-    cfg_m = model.config
-    ids = _as_ids(tokens, cfg_m)
-    if not -(cfg_m.n_layers + 2) <= cfg.target_layer < cfg_m.n_layers + 2:
-        raise ValueError(f"target layer {cfg.target_layer} out of range")
+    ids = _checked_ids(model, tokens, cfg)
     rng = np.random.default_rng(cfg.seed)
     dtype = model.dtype
 
@@ -186,7 +195,7 @@ def invert_input(model, tokens, cfg, model_id=""):
             backward(loss)
             if e.grad is None or not np.all(np.isfinite(e.grad)):
                 raise FloatingPointError(f"non-finite inversion gradient at iteration {n}")
-            iterate = iterate - (cfg.eta_at(n) * e.grad).astype(dtype)
+            iterate = iterate - (cfg.eta_at(n) * e.grad).astype(dtype, copy=False)
 
         with T.no_grad():
             _, acts = _activations(model, iterate, ids, cfg)
@@ -195,8 +204,9 @@ def invert_input(model, tokens, cfg, model_id=""):
         if final < best_dist:
             best_dist, best_iter, best_e = final, cfg.n_iters, iterate.copy()
 
-        calib = calibrate_epsilon(model, ids, cfg, rng=np.random.default_rng(cfg.seed + 1))
-        decoded = decode_embedding(model.params["wte"], best_e)
+        w_pinv = pinv(model.params["wte"].data)  # one SVD serves the calibration and the decode
+        calib = _calibrate(model, ids, cfg, np.random.default_rng(cfg.seed + 1), w_pinv)
+        decoded = _decode(w_pinv, best_e)
         return InversionReport(
             final_distance=best_dist,
             epsilon=calib.epsilon,
@@ -209,7 +219,7 @@ def invert_input(model, tokens, cfg, model_id=""):
             seed=cfg.seed,
             model_id=model_id,
             layer=cfg.target_layer,
-            n_ctx=cfg_m.n_ctx,
+            n_ctx=model.config.n_ctx,
         )
     finally:
         for name, p in model.params.items():

@@ -270,22 +270,27 @@ def _rope(x, cache):
 
 
 def _attention(params, prefix, h, cfg, allowed, rope):
-    d_head = cfg.d_model // cfg.n_heads
+    """Multi-head attention with every head on one axis: (..., S, D) -> (..., H, S, d_head).
+
+    The heads run as one batched product each for the scores and for the
+    values, and are merged back to head-major columns before wo.
+    """
+    n_heads, d_head = cfg.n_heads, cfg.d_model // cfg.n_heads
     dtype = h.dtype
+    allowed = allowed[..., None, :, :]  # one mask per sequence, shared by its heads
     m = Tensor(allowed.astype(dtype))
     fill = Tensor(((1.0 - allowed) * -T._NEG_BIG).astype(dtype))
-    q = T.matmul(h, params[prefix + "wq"])
-    k = T.matmul(h, params[prefix + "wk"])
-    v = T.matmul(h, params[prefix + "wv"])
-    outs = []
-    for j in range(cfg.n_heads):
-        qh = _rope(T.narrow(q, -1, j * d_head, d_head), rope)
-        kh = _rope(T.narrow(k, -1, j * d_head, d_head), rope)
-        vh = T.narrow(v, -1, j * d_head, d_head)
-        scores = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(d_head))
-        att = T.softmax(T.add(T.mul(scores, m), fill), axis=-1)
-        outs.append(T.matmul(att, vh))
-    return T.matmul(T.concat(outs, axis=-1), params[prefix + "wo"])
+    lead = h.shape[:-1]
+
+    def split(w):
+        proj = T.reshape(T.matmul(h, params[prefix + w]), lead + (n_heads, d_head))
+        return T.swapaxes(proj, -3, -2)
+
+    q, k, v = _rope(split("wq"), rope), _rope(split("wk"), rope), split("wv")
+    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d_head))
+    att = T.softmax(T.add(T.mul(scores, m), fill), axis=-1)
+    merged = T.reshape(T.swapaxes(T.matmul(att, v), -3, -2), h.shape)
+    return T.matmul(merged, params[prefix + "wo"])
 
 
 def _allowed_attention(cfg, mask_dir, ids):

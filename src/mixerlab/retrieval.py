@@ -9,7 +9,7 @@ batched cosine similarity.
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -231,15 +231,30 @@ def absval(a):
 
 
 def gelu(a):
-    """Gaussian-error-linear unit, exact erf form."""
+    """Gaussian-error-linear unit, exact erf form: x * 0.5 * (1 + erf(x * sqrt(1/2))).
+
+    Every constant is cast to x's dtype, so a float32 input stays float32
+    in both passes (a float64 scalar would promote the backward's arrays to
+    float64), and the arithmetic runs in place: the forward allocates only
+    phi and its output, the backward only its output.
+    """
     x = a.data
-    phi = 0.5 * (1.0 + erf(x * np.sqrt(0.5, dtype=x.dtype)))
+    phi = x * x.dtype.type(np.sqrt(0.5))
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
 
     def backward(g):
-        pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
-        return (g * (phi + x * pdf).astype(x.dtype),)
+        d = x * x
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= x.dtype.type(1.0 / np.sqrt(2.0 * np.pi))
+        d *= x
+        d += phi
+        d *= g
+        return (d,)
 
-    return _make((x * phi).astype(x.dtype), (a,), backward)
+    return _make(x * phi, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +293,11 @@ def matmul(a, b):
     A 2-D right operand (every weight matrix) is applied to all rows of `a`
     as one flat product: at batch 16 x 22 tokens that forward plus both
     gradients is about 1.7x faster than numpy's stacked product, whose
-    right-operand gradient also needs a per-sequence sum.
+    right-operand gradient also needs a per-sequence sum. The input
+    gradient of that product is computed as g @ y.T when the flat input has
+    at least as many rows as y, and as (y @ g.T).T when it has fewer: for
+    one 32-token sequence through a d256 model the second orientation runs
+    1.3-1.8x faster in single-thread sgemm, for hundreds of rows the first.
     """
     _check_same_dtype(a, b)
     x, y = a.data, b.data
@@ -295,8 +314,11 @@ def matmul(a, b):
 
         def backward(g):
             g2 = g.reshape(-1, y.shape[1])
-            ga = (g2 @ y.T).reshape(x.shape) if needs[0] else None
-            gb = rows.T @ g2 if needs[1] else None
+            ga = gb = None
+            if needs[0]:
+                ga = (g2 @ y.T if len(g2) >= len(y) else (y @ g2.T).T).reshape(x.shape)
+            if needs[1]:
+                gb = rows.T @ g2
             return ga, gb
 
         return _make((rows @ y).reshape(x.shape[:-1] + y.shape[1:]), (a, b), backward)
@@ -309,11 +331,21 @@ def matmul(a, b):
     return _make(np.matmul(x, y), (a, b), backward)
 
 
+def swapaxes(a, axis1, axis2):
+    """Exchange two axes; the result is a contiguous copy."""
+    ndim = a.data.ndim
+    if not (-ndim <= axis1 < ndim and -ndim <= axis2 < ndim):
+        raise ShapeError(f"cannot swap axes {axis1} and {axis2} of shape {a.data.shape}")
+    return _make(
+        np.ascontiguousarray(np.swapaxes(a.data, axis1, axis2)),
+        (a,),
+        lambda g: (np.ascontiguousarray(np.swapaxes(g, axis1, axis2)),),
+    )
+
+
 def transpose(a):
     """Swap the last two axes."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose expects a matrix or a stack of them, got shape {a.data.shape}")
-    return _make(np.swapaxes(a.data, -1, -2).copy(), (a,), lambda g: (np.swapaxes(g, -1, -2).copy(),))
+    return swapaxes(a, -1, -2)
 
 
 def reshape(a, shape):
@@ -481,7 +513,7 @@ def cross_entropy(logits, targets, ignore_id=None, reduction="mean"):
         probs = np.exp(shifted - logsumexp[:, None])
         probs[np.arange(n), targets.clip(0, v - 1)] -= 1.0
         probs[~keep] = 0.0
-        return ((g * scale) * probs.astype(x.dtype),)
+        return ((g * scale) * probs.astype(x.dtype, copy=False),)
 
     return _make(np.asarray(total * scale, dtype=x.dtype), (logits,), backward)
 

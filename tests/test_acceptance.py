@@ -10,7 +10,6 @@ laptop CPU.
 import time
 
 import numpy as np
-import pytest
 from scipy.stats import chisquare
 
 from mixerlab import tensor as T
@@ -35,7 +34,7 @@ from mixerlab.retrieval import (
     sample_retrieval_batch,
     train_infonce,
 )
-from mixerlab.tensor import CHECK64, Tensor, backward, grad_check, pinv
+from mixerlab.tensor import CHECK64, Tensor, grad_check, pinv
 from mixerlab.training import TrainConfig, batch_loss, train
 
 LN_V = np.log(259)

@@ -1,9 +1,12 @@
 """Container round-trips, corruption handling, and the dimension calculator."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from mixerlab.checkpoint import (
+    MAGIC,
     CheckpointFormatError,
     load_checkpoint,
     load_chunk_store,
@@ -97,6 +100,67 @@ def test_trailing_garbage_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"x")
     with pytest.raises(CheckpointFormatError, match="trailing"):
         load_checkpoint(path)
+
+
+def _container(blob, tensors=()):
+    """Container bytes built by hand: magic, version, blob, then (name, tag, shape, data) entries."""
+    out = bytearray(MAGIC) + struct.pack("<I", 1) + struct.pack("<I", len(blob)) + blob
+    out += struct.pack("<Q", len(tensors))
+    for name, tag, shape, data in tensors:
+        for text in (name, tag):
+            out += struct.pack("<I", len(text)) + text.encode()
+        out += struct.pack("<I", len(shape)) + b"".join(struct.pack("<Q", n) for n in shape) + data
+    return bytes(out)
+
+
+BLOB_AT = len(MAGIC) + 4 + 4  # the blob follows magic, version and its length
+
+
+def test_hand_built_container_reads(tmp_path):
+    path = tmp_path / "ok.ckpt"
+    path.write_bytes(_container(b'{"kind": "x"}', [("w", "f32", (2,), struct.pack("<2f", 1.0, 2.0))]))
+    cfg, tensors = read_container(path)
+    assert cfg == {"kind": "x"}
+    assert tensors["w"].tolist() == [1.0, 2.0]
+
+
+def test_bad_json_blob_rejected_with_offset(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_container(b'{"kind": }'))
+    with pytest.raises(CheckpointFormatError, match=rf"not valid JSON at byte {BLOB_AT + 9}"):
+        read_container(path)
+
+
+def test_non_utf8_blob_rejected_with_offset(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_container(b'{"k": "\xff"}'))
+    with pytest.raises(CheckpointFormatError, match=rf"not UTF-8 at byte {BLOB_AT + 7}"):
+        read_container(path)
+
+
+@pytest.mark.parametrize("blob", [b"[1, 2]", b"3", b'"model"', b"null"])
+def test_non_object_blob_rejected_with_offset(tmp_path, blob):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_container(blob))
+    with pytest.raises(CheckpointFormatError, match=rf"at byte {BLOB_AT} is a JSON \w+, not an object"):
+        read_container(path)
+
+
+def test_oversized_tensor_declaration_rejected_before_allocating(tmp_path):
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(_container(b"{}", [("w", "f32", (2**20, 2**20), b"\0" * 16)]))
+    size = path.stat().st_size
+    with pytest.raises(CheckpointFormatError, match=rf"needs {4 * 2**40} bytes but 16 remain at byte {size - 16}"):
+        read_container(path)
+
+
+def test_oversized_blob_length_rejected(tmp_path):
+    raw = bytearray(_container(b"{}"))
+    raw[BLOB_AT - 4 : BLOB_AT] = struct.pack("<I", 2**32 - 1)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointFormatError, match=rf"config blob needs {2**32 - 1} bytes .* at byte {BLOB_AT}"):
+        read_container(path)
 
 
 def test_chunk_store_round_trip(tmp_path):

@@ -1,12 +1,14 @@
-"""Every public module-level function in the package has a caller, and every
-dataclass field a reader.
+"""Every public module-level function in the package has a caller, every
+dataclass field a reader, and every module-level import a use.
 
 A public function counts as used when its name appears somewhere other
 than its own definition: as a name, an attribute or an import in any
 Python file under src/, tests/ or demos/, or anywhere in pyproject.toml.
 A dataclass field counts as read when some Python file under src/,
 tests/, demos/ or bench/ loads it as an attribute (`x.field`); a field
-that is only ever assigned is dead output.
+that is only ever assigned is dead output. A module-level import counts as
+used when the name it binds appears as a name in the same file; the
+package's `__init__.py` is exempt, since its imports are re-exports.
 """
 
 import ast
@@ -71,3 +73,23 @@ def test_every_dataclass_field_is_read():
                 if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read:
                     unread.append(f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}")
     assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)
+
+
+def _bound_names(node):
+    """Names a module-level import statement binds."""
+    for alias in node.names:
+        yield (alias.asname or alias.name).split(".", 1)[0]
+
+
+def test_every_module_level_import_is_used():
+    paths = [path for d in ("src", "tests", "demos") for path in sorted((ROOT / d).rglob("*.py"))]
+    unused = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.relative_to(ROOT)}:{node.lineno} {name}" for name in _bound_names(node) if name not in used]
+    assert not unused, "imports nothing uses: " + ", ".join(unused)

@@ -15,7 +15,6 @@ from mixerlab.inversion import (
     normalized_hamming,
 )
 from mixerlab.models import ModelConfig, build_model
-from mixerlab.tensor import CHECK64, Tensor
 
 
 def small_mixer(seed=0, d_model=64, n_ctx=12):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mixerlab import models
 from mixerlab import tensor as T
 from mixerlab.data import PAD_ID
 from mixerlab.models import (
@@ -141,6 +142,52 @@ def test_single_head_transformer_matches_concatenated_projection():
         ref = forward(model, ids)[0].data
         again = forward(model, ids)[0].data
     assert np.array_equal(ref, again)
+
+
+def _per_head_attention(params, prefix, h, cfg, allowed, rope):
+    """Reference attention: one narrow, score product, mask and softmax per head, then concat."""
+    d_head = cfg.d_model // cfg.n_heads
+    m = Tensor(allowed.astype(h.dtype))
+    fill = Tensor(((1.0 - allowed) * -T._NEG_BIG).astype(h.dtype))
+    q, k, v = (T.matmul(h, params[prefix + w]) for w in ("wq", "wk", "wv"))
+    outs = []
+    for j in range(cfg.n_heads):
+        qh = models._rope(T.narrow(q, -1, j * d_head, d_head), rope)
+        kh = models._rope(T.narrow(k, -1, j * d_head, d_head), rope)
+        vh = T.narrow(v, -1, j * d_head, d_head)
+        scores = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(d_head))
+        att = T.softmax(T.add(T.mul(scores, m), fill), axis=-1)
+        outs.append(T.matmul(att, vh))
+    return T.matmul(T.concat(outs, axis=-1), params[prefix + "wo"])
+
+
+def _logits_and_grads(model, ids, probe):
+    for p in model.params.values():
+        p.grad = None
+    logits = forward(model, ids)[0]
+    backward(T.tsum(T.mul(logits, Tensor(probe))))
+    return logits.data, {name: p.grad for name, p in model.params.items()}
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("family", ["transformer", "bidirectional_transformer", "transformer_autoencoder"])
+def test_head_batched_attention_matches_per_head_loop(monkeypatch, family, n_heads):
+    model = build_model(tiny(family, n_heads=n_heads), seed=17, dtype=CHECK64)
+    rng = np.random.default_rng(n_heads)
+    ids = rng.integers(0, 256, size=(3, 8))
+    ids[1, 5:] = PAD_ID
+    for x in (ids, ids[0]):
+        probe = rng.normal(size=x.shape + (259,))
+        got, got_grads = _logits_and_grads(model, x, probe)
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "_attention", _per_head_attention)
+            want, want_grads = _logits_and_grads(model, x, probe)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # relative to the model's largest gradient entry: the autoencoder decoder
+        # attends over identical rows, so its wq/wk gradients are rounding noise around 0
+        scale = max(np.max(np.abs(g)) for g in want_grads.values())
+        for name, g in want_grads.items():
+            assert np.max(np.abs(got_grads[name] - g)) <= 1e-12 * scale, name
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from mixerlab import tensor as T
 from mixerlab.models import ModelConfig, build_model
 from mixerlab.retrieval import (
     EmbeddingStore,

@@ -7,7 +7,6 @@ from mixerlab import tensor as T
 from mixerlab.data import pair_line_chunks, pairs_to_sequences, synthetic_pairs
 from mixerlab.models import ModelConfig, build_model, retrieval_mixer_forward
 from mixerlab.retrieval import (
-    EmbeddingStore,
     center_and_normalize,
     embed_pair_store,
     eval_topk_accuracy,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 from scipy.stats import chisquare
 
 from mixerlab import tensor as T
@@ -48,6 +49,20 @@ def test_matmul_grad_matches_finite_differences():
         return T.tsum(T.mul(T.matmul(a_fixed, bv), probe))
 
     assert grad_check(g, t64(rng.normal(size=(5, 3)), requires_grad=True)) <= 1e-6
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (9, 7), (1, 3, 7), (2, 2, 7), (3, 4, 7)])
+def test_matmul_input_grad_in_both_orientations(shape):
+    """A 2-D right operand with 7 input rows: fewer flat rows than 7 take (y @ g.T).T, the rest g @ y.T."""
+    rng = np.random.default_rng(len(shape) * 10 + shape[-2])
+    w0, probe = rng.normal(size=(7, 5)), t64(rng.normal(size=shape[:-1] + (5,)))
+    x0 = rng.normal(size=shape)
+    assert grad_check(lambda x: T.tsum(T.mul(T.matmul(x, t64(w0)), probe)), t64(x0, True)) <= 1e-6
+    assert grad_check(lambda w: T.tsum(T.mul(T.matmul(t64(x0), w), probe)), t64(w0, True)) <= 1e-6
+    x = t64(x0, True)
+    backward(T.tsum(T.mul(T.matmul(x, t64(w0)), probe)))
+    assert x.grad.shape == shape
+    assert np.allclose(x.grad, probe.data @ w0.T, rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +315,51 @@ def test_concat_and_transpose_grads():
         return T.tsum(T.mul(T.transpose(T.transpose(joined)), probe))
 
     assert grad_check(f, t64(rng.normal(size=(3, 3)), requires_grad=True)) <= 1e-6
+
+
+@pytest.mark.parametrize("axes", [(0, 2), (-3, -2), (1, -1), (-1, -2), (2, 2)])
+def test_swapaxes_matches_numpy_and_grad(axes):
+    rng = np.random.default_rng(11)
+    x0 = rng.normal(size=(2, 3, 4))
+    out = T.swapaxes(t64(x0), *axes)
+    assert np.array_equal(out.data, np.swapaxes(x0, *axes))
+    assert out.data.flags.c_contiguous
+    probe = t64(rng.normal(size=out.shape))
+    assert grad_check(lambda x: T.tsum(T.mul(T.swapaxes(x, *axes), probe)), t64(x0, True)) <= 1e-6
+
+
+def test_swapaxes_rejects_missing_axis():
+    with pytest.raises(T.ShapeError, match=r"axes 0 and 3 .*\(2, 3\)"):
+        T.swapaxes(t64(np.zeros((2, 3))), 0, 3)
+    with pytest.raises(T.ShapeError, match=r"\(3,\)"):
+        T.transpose(t64(np.zeros(3)))
+
+
+# ---------------------------------------------------------------------------
+# gelu
+
+def test_gelu_float32_forward_is_exact_erf_form_bit_for_bit():
+    x = (np.random.default_rng(12).normal(size=(32, 1024)) * 3).astype(np.float32)
+    out = T.gelu(Tensor(x)).data
+    # the argument is x * sqrt(1/2) in float32; x / sqrt(2) rounds differently for about 40% of inputs
+    reference = x * np.float32(0.5) * (1 + erf(x * np.float32(np.sqrt(0.5))))
+    assert out.dtype == np.float32
+    assert np.array_equal(out, reference)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_backward_keeps_dtype(dtype):
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(3, 8)).astype(dtype), requires_grad=True)
+    backward(T.tsum(T.mul(T.gelu(x), Tensor(rng.normal(size=(3, 8)).astype(dtype)))))
+    assert x.grad.dtype == dtype
+
+
+def test_gelu_grad_check_3d():
+    rng = np.random.default_rng(14)
+    probe = t64(rng.normal(size=(2, 3, 5)))
+    x = t64(rng.uniform(-3.0, 3.0, size=(2, 3, 5)), requires_grad=True)
+    assert grad_check(lambda v: T.tsum(T.mul(T.gelu(v), probe)), x) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
