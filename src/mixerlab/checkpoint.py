@@ -6,21 +6,24 @@ entries. Loading reproduces every byte, so saved models round-trip
 bit-exactly; corrupt files are rejected with the offending byte offset.
 """
 
+import itertools
 import json
 import math
 import os
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .models import Model, ModelConfig
+from .models import Model, ModelConfig, _param_specs
 from .tensor import Tensor
 
 MAGIC = b"MIXLAB1\n"
 VERSION = 1
 
 _DTYPE_TAGS = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8"), "token-i32": np.dtype("<i4")}
+_MAX_NDIM = 64  # numpy's limit
+_FLOAT_DTYPES = {np.dtype(np.float32), np.dtype(np.float64)}
 _TAG_FOR_KIND = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64", np.dtype(np.int32): "token-i32"}
 
 
@@ -118,6 +121,8 @@ def read_container(path):
             if tag not in _DTYPE_TAGS:
                 raise CheckpointFormatError(f"unknown dtype tag {tag!r} at byte {r.offset}")
             (ndim,) = struct.unpack("<I", r.take(4, "ndim"))
+            if ndim > _MAX_NDIM:
+                raise CheckpointFormatError(f"tensor {name!r} declares {ndim} dimensions at byte {r.offset - 4}")
             shape = tuple(struct.unpack("<Q", r.take(8, "shape dim"))[0] for _ in range(ndim))
             n_bytes = math.prod(shape) * _DTYPE_TAGS[tag].itemsize
             raw = r.take(n_bytes, f"tensor {name!r} data")
@@ -126,6 +131,45 @@ def read_container(path):
         if trailing:
             raise CheckpointFormatError(f"unexpected trailing bytes at byte {r.offset}")
     return config_obj, tensors
+
+
+def _read_kind(path, kind, keys, names=None):
+    """read_container(path), checked for `kind`, the config `keys` ({key: type}) and the tensor `names`."""
+    config_obj, tensors = read_container(path)
+    if config_obj.get("kind") != kind:
+        raise CheckpointFormatError(f"container at {path} holds {config_obj.get('kind')!r}, not {kind!r}")
+    for key, typ in keys.items():
+        if type(config_obj.get(key)) is not typ:
+            raise CheckpointFormatError(f"{kind} container at {path} lacks a {typ.__name__} config value {key!r}")
+    if names is not None:
+        _check_names(path, tensors, names)
+    return config_obj, tensors
+
+
+def _check_names(path, tensors, names):
+    for name in names:
+        if name not in tensors:
+            raise CheckpointFormatError(f"container at {path} lacks tensor {name!r}")
+    for name in tensors:
+        if name not in names:
+            raise CheckpointFormatError(f"container at {path} holds unexpected tensor {name!r}")
+
+
+def _check_float_dtype(path, arrays, what):
+    dtypes = {arr.dtype for arr in arrays}
+    if len(dtypes) != 1 or not dtypes <= _FLOAT_DTYPES:
+        found = sorted(map(str, dtypes))
+        raise CheckpointFormatError(f"{what} in {path} must share one float32 or float64 dtype, got {found}")
+
+
+def _model_config(path, fields_obj):
+    for f in fields(ModelConfig):
+        if f.name in fields_obj and type(fields_obj[f.name]) is not f.type:
+            raise CheckpointFormatError(f"model config {f.name!r} in {path} is not a {f.type.__name__}")
+    try:
+        return ModelConfig(**fields_obj)
+    except (TypeError, ValueError) as err:
+        raise CheckpointFormatError(f"invalid model config in {path}: {err}") from None
 
 
 def save_checkpoint(model, path):
@@ -138,10 +182,19 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    config_obj, tensors = read_container(path)
-    if config_obj.get("kind") != "model":
-        raise CheckpointFormatError(f"container at {path} holds {config_obj.get('kind')!r}, not a model")
-    cfg = ModelConfig(**config_obj["config"])
+    """Load a model; its tensors must be exactly `_param_specs(config)` in one float dtype."""
+    config_obj, tensors = _read_kind(path, "model", {"config": dict})
+    cfg = _model_config(path, config_obj["config"])
+    # one spec past the tensor count is enough to name a missing tensor; a
+    # hostile n_layers or n_heads must not make the spec table large
+    specs = dict(itertools.islice(((name, shape) for name, shape, _ in _param_specs(cfg)), len(tensors) + 1))
+    if "many_token_placeholder" in tensors:  # added by training.train under the many_token objective
+        specs["many_token_placeholder"] = (1, cfg.d_model)
+    _check_names(path, tensors, specs)
+    for name, arr in tensors.items():
+        if arr.shape != specs[name]:
+            raise CheckpointFormatError(f"tensor {name!r} in {path} has shape {arr.shape}, expected {specs[name]}")
+    _check_float_dtype(path, tensors.values(), "model tensors")
     params = {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
     return Model(config=cfg, params=params)
 
@@ -153,11 +206,14 @@ def save_chunk_store(store, path):
 def load_chunk_store(path):
     from .data import ChunkStore, TokenSequence
 
-    config_obj, tensors = read_container(path)
-    if config_obj.get("kind") != "chunks":
-        raise CheckpointFormatError(f"container at {path} holds {config_obj.get('kind')!r}, not chunks")
-    side = config_obj["pad_side"]
-    return ChunkStore([TokenSequence(row, pad_side=side) for row in tensors["ids"]], pad_side=side)
+    config_obj, tensors = _read_kind(path, "chunks", {"pad_side": str}, ["ids"])
+    side, ids = config_obj["pad_side"], tensors["ids"]
+    if ids.dtype != np.int32 or ids.ndim != 2:
+        raise CheckpointFormatError(f"chunk ids in {path} must be a 2-D token-i32 tensor, got {ids.dtype} {ids.shape}")
+    try:
+        return ChunkStore([TokenSequence(row, pad_side=side) for row in ids], pad_side=side)
+    except ValueError as err:
+        raise CheckpointFormatError(f"invalid chunks in {path}: {err}") from None
 
 
 def save_embedding_store(store, path):
@@ -171,12 +227,19 @@ def save_embedding_store(store, path):
 def load_embedding_store(path):
     from .retrieval import EmbeddingStore
 
-    config_obj, tensors = read_container(path)
-    if config_obj.get("kind") != "embeddings":
-        raise CheckpointFormatError(f"container at {path} holds {config_obj.get('kind')!r}, not embeddings")
-    return EmbeddingStore(
-        queries=tensors["queries"],
-        targets=tensors["targets"],
-        source_model_id=config_obj.get("source_model_id", ""),
-        convention=config_obj.get("convention", ""),
+    config_obj, tensors = _read_kind(
+        path, "embeddings", {"source_model_id": str, "convention": str}, ["queries", "targets"]
     )
+    queries, targets = tensors["queries"], tensors["targets"]
+    _check_float_dtype(path, (queries, targets), "embedding tables")
+    if queries.ndim != 2:
+        raise CheckpointFormatError(f"embedding tables in {path} must be 2-D, got shape {queries.shape}")
+    try:
+        return EmbeddingStore(
+            queries=queries,
+            targets=targets,
+            source_model_id=config_obj["source_model_id"],
+            convention=config_obj["convention"],
+        )
+    except ValueError as err:
+        raise CheckpointFormatError(f"invalid embeddings in {path}: {err}") from None

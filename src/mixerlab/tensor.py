@@ -230,17 +230,59 @@ def absval(a):
     return _make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
-def gelu(a):
-    """Gaussian-error-linear unit, exact erf form: x * 0.5 * (1 + erf(x * sqrt(1/2))).
+# Odd rational approximation erf(z) ~ z * P(z^2) / Q(z^2) on [-4, 4], the
+# float32 erf of Eigen (generic_fast_erf_float) and XLA; highest power first.
+_ERF_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
+    -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02,
+))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
+    -1.42647390514189e-02,
+))
 
-    Every constant is cast to x's dtype, so a float32 input stays float32
-    in both passes (a float64 scalar would promote the backward's arrays to
-    float64), and the arithmetic runs in place: the forward allocates only
-    phi and its output, the backward only its output.
+
+def _horner32(z2, coeffs, out):
+    np.multiply(z2, coeffs[0], out=out)
+    out += coeffs[1]
+    for c in coeffs[2:]:
+        out *= z2
+        out += c
+    return out
+
+
+def _erf_f32(z, out):
+    """float32 erf of `z` into `out` (which may be `z`), with two temporaries.
+
+    `z` is clamped to [-4, 4], where erf(4) already rounds to 1 in float32,
+    so the result is exactly +-1 beyond it and NaN stays NaN. Within 4.5e-7
+    of the exact erf; numpy's SIMD loops run it about 5x faster than
+    scipy.special.erf, whose float32 loop costs as much as its float64 one.
+    """
+    np.clip(z, -4.0, 4.0, out=out)
+    z2 = out * out
+    p = _horner32(z2, _ERF_P, np.empty_like(z2))
+    p *= out
+    q = _horner32(z2, _ERF_Q, out)  # the clamped argument is spent; its buffer takes Q
+    return np.divide(p, q, out=out)
+
+
+def gelu(a):
+    """Gaussian-error-linear unit, erf form: x * 0.5 * (1 + erf(x * sqrt(1/2))).
+
+    float64 inputs use the exact scipy.special.erf, float32 inputs
+    `_erf_f32`. Every constant is cast to x's dtype, so a float32 input
+    stays float32 in both passes (a float64 scalar would promote the
+    backward's arrays to float64), and the arithmetic runs in place: the
+    forward allocates only phi and its output (plus `_erf_f32`'s
+    temporaries), the backward only its output.
     """
     x = a.data
     phi = x * x.dtype.type(np.sqrt(0.5))
-    erf(phi, out=phi)
+    if x.dtype == np.float32:
+        _erf_f32(phi, out=phi)
+    else:
+        erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
 

@@ -1,9 +1,13 @@
 """Container round-trips, corruption handling, and the dimension calculator."""
 
 import struct
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixerlab.checkpoint import (
     MAGIC,
@@ -17,7 +21,7 @@ from mixerlab.checkpoint import (
     save_embedding_store,
     write_container,
 )
-from mixerlab.data import build_corpus
+from mixerlab.data import PAD_ID, ChunkStore, TokenSequence, build_corpus
 from mixerlab.jl import jl_bound, jl_min_dim, jl_shorthand_dim
 from mixerlab.models import ModelConfig, build_model, forward
 from mixerlab.retrieval import EmbeddingStore
@@ -154,6 +158,13 @@ def test_oversized_tensor_declaration_rejected_before_allocating(tmp_path):
         read_container(path)
 
 
+def test_too_many_dimensions_rejected(tmp_path):
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(_container(b"{}", [("w", "f32", (1,) * 65, b"\0" * 4)]))
+    with pytest.raises(CheckpointFormatError, match=r"tensor 'w' declares 65 dimensions at byte \d+"):
+        read_container(path)
+
+
 def test_oversized_blob_length_rejected(tmp_path):
     raw = bytearray(_container(b"{}"))
     raw[BLOB_AT - 4 : BLOB_AT] = struct.pack("<I", 2**32 - 1)
@@ -207,6 +218,203 @@ def test_container_preserves_config_json(tmp_path):
     cfg, tensors = read_container(path)
     assert cfg == {"kind": "custom", "alpha": [1, 2]}
     assert list(tensors) == ["x"]
+
+
+# ---------------------------------------------------------------------------
+# loader checks on hand-built containers
+
+def model_tensors(model):
+    return {name: p.data for name, p in model.params.items()}
+
+
+def model_blob(model, **changes):
+    return {"kind": "model", "config": {**asdict(model.config), **changes}}
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda t: {"wte": t["wte"]}, "lacks tensor 'blocks.0.ln1.gain'"),
+        (lambda t: {**t, "extra": np.zeros(2, np.float32)}, "unexpected tensor 'extra'"),
+        (
+            lambda t: {**t, "lm_head": t["lm_head"].astype(np.float64)},
+            r"one float32 or float64 dtype, got \['float32', 'float64'\]",
+        ),
+    ],
+)
+def test_model_bad_tensors_rejected(tmp_path, edit, message):
+    model = tiny_model()
+    path = tmp_path / "m.ckpt"
+    write_container(path, model_blob(model), edit(model_tensors(model)))
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"alpha": 1}, "unexpected keyword argument 'alpha'"),
+        ({"n_ctx": 1}, "n_ctx must be >= 2"),
+        ({"family": "nope"}, "unknown family"),
+        ({"d_model": "8"}, "'d_model' .* is not a int"),
+        ({"d_model": 8.0}, "'d_model' .* is not a int"),
+        ({"softmax_weights": 0}, "'softmax_weights' .* is not a bool"),
+        ({"vocab": 258}, r"'wte' .* shape \(8, 259\), expected \(8, 258\)"),
+        ({"n_layers": 10**12}, "lacks tensor 'blocks.1.ln1.gain'"),  # without building 10^13 specs
+    ],
+)
+def test_model_invalid_config_rejected(tmp_path, changes, message):
+    model = tiny_model()
+    path = tmp_path / "m.ckpt"
+    write_container(path, model_blob(model, **changes), model_tensors(model))
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+
+
+def test_model_config_missing_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_container(path, {"kind": "model"}, model_tensors(tiny_model()))
+    with pytest.raises(CheckpointFormatError, match="lacks a dict config value 'config'"):
+        load_checkpoint(path)
+
+
+def test_model_float64_loads(tmp_path):
+    model = build_model(tiny_model().config, seed=1, dtype=np.float64)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    assert load_checkpoint(path).dtype == np.float64
+
+
+CHUNKS = {"kind": "chunks", "pad_side": "right"}
+
+
+@pytest.mark.parametrize(
+    "blob,tensors,message",
+    [
+        (CHUNKS, {}, "lacks tensor 'ids'"),
+        ({"kind": "chunks"}, {"ids": np.zeros((2, 4), np.int32)}, "lacks a str config value 'pad_side'"),
+        ({**CHUNKS, "pad_side": "up"}, {"ids": np.zeros((2, 4), np.int32)}, "pad_side must be"),
+        (CHUNKS, {"ids": np.full((2, 4), 999, np.int32)}, "token id out of range"),
+        (CHUNKS, {"ids": np.zeros((2, 4), np.float32)}, "2-D token-i32"),
+        (CHUNKS, {"ids": np.zeros(4, np.int32)}, "2-D token-i32"),
+    ],
+)
+def test_chunk_store_invalid_contents_rejected(tmp_path, blob, tensors, message):
+    path = tmp_path / "c.ckpt"
+    write_container(path, blob, tensors)
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_chunk_store(path)
+
+
+EMBEDDINGS = {"kind": "embeddings", "source_model_id": "m", "convention": "c"}
+TABLE = np.zeros((3, 4), np.float32)
+NAN_TABLE = np.where(np.arange(12).reshape(3, 4) == 6, np.float32(np.nan), TABLE)
+
+
+@pytest.mark.parametrize(
+    "blob,tensors,message",
+    [
+        (EMBEDDINGS, {"targets": TABLE}, "lacks tensor 'queries'"),
+        (EMBEDDINGS, {"queries": TABLE}, "lacks tensor 'targets'"),
+        ({**EMBEDDINGS, "convention": None}, {"queries": TABLE, "targets": TABLE}, "lacks a str config value"),
+        (EMBEDDINGS, {"queries": TABLE, "targets": TABLE[:2]}, "pair by index"),
+        (EMBEDDINGS, {"queries": TABLE[0], "targets": TABLE[0]}, "must be 2-D"),
+        (EMBEDDINGS, {"queries": NAN_TABLE, "targets": TABLE}, "non-finite"),
+        (EMBEDDINGS, {"queries": TABLE, "targets": TABLE.astype(np.float64)}, "one float32 or float64 dtype"),
+    ],
+)
+def test_embedding_store_invalid_contents_rejected(tmp_path, blob, tensors, message):
+    path = tmp_path / "e.ckpt"
+    write_container(path, blob, tensors)
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_embedding_store(path)
+
+
+# ---------------------------------------------------------------------------
+# corrupted containers: every load either round-trips bit-exactly or raises
+# CheckpointFormatError, with traced memory bounded by the container's size
+
+PEAK_MEMORY_PER_FILE_BYTE = 8
+
+
+def model_state(model):
+    return model.config, [(name, p.data.dtype, p.data.tobytes()) for name, p in model.params.items()]
+
+
+def chunk_state(store):
+    return store.pad_side, store.ids.dtype, store.ids.shape, store.ids.tobytes()
+
+
+def embedding_state(store):
+    tables = [(t.dtype, t.shape, t.tobytes()) for t in (store.queries, store.targets)]
+    return store.source_model_id, store.convention, tables
+
+
+def tiny_chunk_store():
+    rows = np.random.default_rng(7).integers(0, 256, size=(64, 32))
+    rows[::3, 20:] = PAD_ID
+    return ChunkStore([TokenSequence(row) for row in rows])
+
+
+def tiny_embedding_store():
+    rng = np.random.default_rng(8)
+    return EmbeddingStore(
+        queries=rng.normal(size=(64, 16)).astype(np.float32),
+        targets=rng.normal(size=(64, 16)).astype(np.float32),
+        source_model_id="gen0",
+    )
+
+
+LOADERS = {
+    "model": (lambda: tiny_model(seed=9), save_checkpoint, load_checkpoint, model_state),
+    "chunks": (tiny_chunk_store, save_chunk_store, load_chunk_store, chunk_state),
+    "embeddings": (tiny_embedding_store, save_embedding_store, load_embedding_store, embedding_state),
+}
+
+
+@pytest.fixture(scope="module")
+def corruption_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corrupt")
+    for kind, (make, save, _, _) in LOADERS.items():
+        save(make(), root / f"{kind}.ckpt")
+    return root
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(sorted(LOADERS)), truncate=st.booleans(), data=st.data())
+def test_corrupted_containers_round_trip_or_raise(corruption_dir, kind, truncate, data):
+    root = corruption_dir
+    raw = bytearray((root / f"{kind}.ckpt").read_bytes())
+    size = len(raw)
+    # about half the offsets land in the first 512 bytes: magic, version, config blob and the first tensor headers
+    offset = data.draw(st.one_of(st.integers(0, 511), st.integers(0, len(raw) - 1)))
+    if truncate:
+        del raw[offset:]
+    else:
+        raw[offset] ^= data.draw(st.integers(1, 255))
+    path = root / f"mutated-{kind}.ckpt"
+    path.write_bytes(raw)
+    _, save, load, state = LOADERS[kind]
+
+    tracemalloc.start()
+    try:
+        loaded = load(path)
+    except CheckpointFormatError:
+        loaded = None
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # the base is the uncorrupted file: raising on a 0-byte truncation still costs a few kB
+    assert peak <= PEAK_MEMORY_PER_FILE_BYTE * size, (kind, len(raw), peak)
+    assert not truncate or loaded is None
+    if loaded is None:
+        return
+    again = root / f"again-{kind}.ckpt"
+    save(loaded, again)
+    assert state(load(again)) == state(loaded)
+    if kind == "model":
+        with T.no_grad(), np.errstate(all="ignore"):
+            forward(loaded, np.ones(loaded.config.n_ctx, dtype=np.int32))
 
 
 # ---------------------------------------------------------------------------
