@@ -83,11 +83,7 @@ class ChunkStore:
 
     def __init__(self, sequences, pad_side="right"):
         self.pad_side = pad_side
-        self.ids = (
-            np.stack([s.ids for s in sequences]).astype(np.int32)
-            if sequences
-            else np.zeros((0, 0), dtype=np.int32)
-        )
+        self.ids = np.array([s.ids for s in sequences], dtype=np.int32) if sequences else np.zeros((0, 0), np.int32)
 
     def __len__(self):
         return self.ids.shape[0]

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .models import _as_ids, _nth_last_nonpad, embedding_graph, retrieval_mixer_forward, sequence_embedding
-from .tensor import Tensor, multinomial_sample
+from .data import PAD_ID
+from .models import _as_ids, embedding_graph, retrieval_mixer_forward, sequence_embedding
+from .tensor import Tensor
 from .training import TrainConfig, _run_steps
 
 log = logging.getLogger(__name__)
@@ -90,21 +91,29 @@ def embed_corpus(model, sequences):
     least two non-pad tokens. Kept sequences are embedded EMBED_CHUNK at a
     time.
     """
-    kept, ids = [], []
+    skipped, kept, ids = {}, [], []
     for i, seq in enumerate(sequences):
         try:
             one = _as_ids(seq, model.config)
             if one.ndim != 1:
                 raise ValueError(f"expected one sequence, got shape {one.shape}")
-            _nth_last_nonpad(one, 2)
         except ValueError as e:
-            log.warning("skipping sequence %d: %s", i, e)
+            skipped[i] = e
             continue
         kept.append(i)
         ids.append(one)
+    if ids:
+        ids = np.stack(ids)
+        short = np.sum(ids != PAD_ID, axis=1) < 2
+        for i in np.flatnonzero(short):
+            skipped[kept[i]] = "sequence must contain at least 2 non-pad token(s)"
+        ids = ids[~short]
+        kept = [i for i, bad in zip(kept, short) if not bad]
+    for i in sorted(skipped):
+        log.warning("skipping sequence %d: %s", i, skipped[i])
     if not kept:
         return np.zeros((0, model.config.d_model)), []
-    return _embed_rows(model, np.stack(ids)), kept
+    return _embed_rows(model, ids), kept
 
 
 def _embed_rows(model, ids):
@@ -191,10 +200,15 @@ def normalize_store(store, holdout, dim=16):
 # candidate-set sampling
 
 def _others(size, n, count, rng):
-    """`count` distinct indices drawn uniformly from range(size), never n."""
-    weights = np.ones(size)
-    weights[n] = 0.0
-    return multinomial_sample(weights, count, rng)
+    """`count` distinct indices drawn uniformly from range(size), never n.
+
+    A uniform draw of distinct indices from range(size - 1), with those at
+    or above n shifted up by one, maps one-to-one onto the draws from
+    range(size) without n, so it stays exactly uniform.
+    """
+    r = rng.choice(size - 1, count, replace=False)
+    r[r >= n] += 1
+    return r.tolist()
 
 
 def sample_retrieval_batch(store, n, c, rng):

@@ -6,8 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from mixerlab.checkpoint import load_checkpoint, save_checkpoint, save_embedding_store
+from mixerlab.checkpoint import (
+    CheckpointFormatError,
+    load_checkpoint,
+    read_container,
+    save_checkpoint,
+    save_embedding_store,
+)
 from mixerlab.cli import run_cli
+from mixerlab.data import synthetic_pairs, write_pairs
 from mixerlab.models import ModelConfig, build_model
 from mixerlab.retrieval import EmbeddingStore
 
@@ -277,3 +284,35 @@ def test_infonce_eval_set_no_larger_than_negatives_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "5 eval pairs for 4 negatives, got 4" in err
     assert not (out / "model.ckpt").exists()
+
+
+CONTAINER_COMMANDS = {  # command: flags around the truncated container at {ckpt}
+    "embed": ["--checkpoint", "{ckpt}", "--pairs", "{pairs}"],
+    "train-retrieval-indirect": ["--embeddings", "{ckpt}", "--steps", "1"],
+    "train-retrieval-infonce": ["--checkpoint", "{ckpt}", "--pairs", "{pairs}", "--steps", "1", "--negatives", "2"],
+    "retrieve-eval": ["--checkpoint", "{ckpt}", "--pairs", "{pairs}", "--sizes", "4", "--trials", "2"],
+    "invert": ["--checkpoint", "{ckpt}", "--runs", "1", "--n-iters", "2"],
+    "generate": ["--checkpoint", "{ckpt}", "--prompt", "ab", "--n-new", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONTAINER_COMMANDS))
+def test_truncated_container_exit_1_one_error_line(tmp_path, capsys, command):
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs(pairs, synthetic_pairs(24, np.random.default_rng(0)))
+    ckpt = tmp_path / "in.ckpt"
+    if command == "train-retrieval-indirect":
+        rng = np.random.default_rng(1)
+        save_embedding_store(EmbeddingStore(queries=rng.normal(size=(24, 8)), targets=rng.normal(size=(24, 8))), ckpt)
+    else:
+        cfg = ModelConfig("masked_mixer", d_model=16, n_layers=1, n_ctx=16, vocab=259, padding_side="left")
+        save_checkpoint(build_model(cfg, seed=0), ckpt)
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(data[: len(data) // 2])
+    with pytest.raises(CheckpointFormatError) as raised:
+        read_container(ckpt)
+    flags = [f.format(ckpt=ckpt, pairs=pairs) for f in CONTAINER_COMMANDS[command]]
+    capsys.readouterr()
+    assert run_cli([command, *flags, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {raised.value}\n"

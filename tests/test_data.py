@@ -1,5 +1,7 @@
 """Tokenizer round-trips, chunk/pad contracts, and deterministic splits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,3 +154,17 @@ def test_chunk_store_indexing():
     store = ChunkStore(chunks)
     assert len(store) == 2
     assert store[1].ids.tolist() == [5, 6, 7, 8, 9]
+
+
+def test_chunk_store_holds_its_ids_once():
+    rng = np.random.default_rng(0)
+    seqs = [TokenSequence(row) for row in rng.integers(0, 256, size=(4096, 64))]
+    tracemalloc.start()
+    try:
+        store = ChunkStore(seqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert store.ids.dtype == np.int32 and store.ids.shape == (4096, 64)
+    assert np.array_equal(store.ids, np.stack([s.ids for s in seqs]))
+    assert peak < 1.25 * store.ids.nbytes

@@ -1,10 +1,12 @@
 """Candidate-set sampling statistics, contrastive-loss identities, ranking."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from mixerlab.models import ModelConfig, build_model
+from mixerlab.models import ModelConfig, build_model, sequence_embedding
 from mixerlab.retrieval import (
     EmbeddingStore,
     InfoNCEConfig,
@@ -14,6 +16,7 @@ from mixerlab.retrieval import (
     infonce_loss,
     retrieve_topk,
     sample_retrieval_batch,
+    _others,
     train_indirect,
     train_infonce,
 )
@@ -52,6 +55,43 @@ def test_embed_corpus_skips_short_sequences():
     rows, kept = embed_corpus(model, [good, bad, good])
     assert kept == [0, 2]
     assert rows.shape == (2, 16)
+
+
+def test_embed_corpus_checks_a_mixed_corpus_in_index_order(caplog):
+    cfg = ModelConfig("masked_mixer", d_model=16, n_layers=2, n_ctx=8, vocab=259, padding_side="left")
+    model = build_model(cfg, seed=6)
+    rng = np.random.default_rng(6)
+
+    def valid(n_tokens):
+        s = np.full(8, 256)
+        s[8 - n_tokens:] = rng.integers(0, 256, n_tokens)
+        return s
+
+    one_token = np.full(8, 256)
+    one_token[-1] = 97
+    corpus = [
+        valid(8), np.full(8, 256), valid(2), rng.integers(0, 256, 7), one_token,
+        valid(5), np.zeros((2, 8), dtype=np.int64), valid(3), np.full(8, 256), valid(6),
+    ]
+    with caplog.at_level("WARNING", logger="mixerlab.retrieval"):
+        rows, kept = embed_corpus(model, corpus)
+    assert kept == [0, 2, 5, 7, 9]
+    short = "sequence must contain at least 2 non-pad token(s)"
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping sequence 1: {short}",
+        "skipping sequence 3: expected 8 tokens, got shape (7,)",
+        f"skipping sequence 4: {short}",
+        "skipping sequence 6: expected one sequence, got shape (2, 8)",
+        f"skipping sequence 8: {short}",
+    ]
+    want = sequence_embedding(model, np.stack([corpus[i] for i in kept]))
+    assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
+
+
+def test_embed_corpus_all_skipped_gives_no_rows():
+    cfg = ModelConfig("masked_mixer", d_model=16, n_layers=1, n_ctx=8, vocab=259, padding_side="left")
+    rows, kept = embed_corpus(build_model(cfg, seed=7), [np.full(8, 256), np.arange(7)])
+    assert kept == [] and rows.shape == (0, 16)
 
 
 def test_embed_corpus_rows_track_weights():
@@ -113,6 +153,35 @@ def test_sample_batch_match_position_uniform_chi_square():
         counts[sample_retrieval_batch(store, 0, c, rng).m - 1] += 1
     _, p = chisquare(counts)
     assert p > 0.001
+
+
+@pytest.mark.parametrize("size, n, count", [(9, 0, 4), (9, 8, 4), (9, 4, 8), (9, 0, 8), (9, 8, 8), (2, 1, 1)])
+def test_others_draws_distinct_indices_never_n(size, n, count):
+    rng = np.random.default_rng(40)
+    for _ in range(200):
+        r = _others(size, n, count, rng)
+        assert len(r) == count and len(set(r)) == count
+        assert n not in r and all(0 <= j < size for j in r)
+
+
+def test_others_rejects_more_than_size_minus_one():
+    with pytest.raises(ValueError):
+        _others(9, 3, 9, np.random.default_rng(0))
+
+
+def test_others_uniform_over_indices_and_subsets_chi_square():
+    size, n, count = 7, 3, 2
+    rng = np.random.default_rng(41)
+    subsets = {c: i for i, c in enumerate(combinations([j for j in range(size) if j != n], count))}
+    by_subset = np.zeros(len(subsets))
+    by_index = np.zeros(size)
+    for _ in range(30_000):
+        r = _others(size, n, count, rng)
+        by_subset[subsets[tuple(sorted(r))]] += 1
+        by_index[r] += 1
+    assert by_index[n] == 0
+    assert chisquare(by_subset)[1] > 0.001
+    assert chisquare(np.delete(by_index, n))[1] > 0.001
 
 
 def test_sample_batch_c_too_large():
