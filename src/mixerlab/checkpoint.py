@@ -123,10 +123,15 @@ def read_container(path):
             (ndim,) = struct.unpack("<I", r.take(4, "ndim"))
             if ndim > _MAX_NDIM:
                 raise CheckpointFormatError(f"tensor {name!r} declares {ndim} dimensions at byte {r.offset - 4}")
+            shape_at = r.offset
             shape = tuple(struct.unpack("<Q", r.take(8, "shape dim"))[0] for _ in range(ndim))
             n_bytes = math.prod(shape) * _DTYPE_TAGS[tag].itemsize
             raw = r.take(n_bytes, f"tensor {name!r} data")
-            tensors[name] = np.frombuffer(raw, dtype=_DTYPE_TAGS[tag]).reshape(shape).copy()
+            try:
+                array = np.frombuffer(raw, dtype=_DTYPE_TAGS[tag]).reshape(shape)
+            except ValueError as err:  # an empty shape whose other dims numpy cannot index
+                raise CheckpointFormatError(f"tensor {name!r} shape at byte {shape_at}: {err}") from None
+            tensors[name] = array.copy()
         trailing = fh.read(1)
         if trailing:
             raise CheckpointFormatError(f"unexpected trailing bytes at byte {r.offset}")

@@ -1,6 +1,7 @@
 """Byte-level tokenization, fixed-context chunking, and corpus splits."""
 
 import hashlib
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,19 @@ class ChunkStore:
         return TokenSequence(self.ids[i], pad_side=self.pad_side)
 
 
+def _decode_text(raw, path):
+    """A file's bytes as UTF-8 text, newlines translated as in text mode.
+
+    The whole file is decoded at once, so a decode error's offset counts
+    from the start of the file, not from the start of a read buffer.
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 at byte {err.start}: {err.reason}") from None
+    return io.StringIO(text, newline=None).read()
+
+
 def _split_fraction(index, seed):
     digest = hashlib.sha256(f"corpus:{seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "little") / 2**64
@@ -110,10 +124,11 @@ def build_corpus(source, n_ctx, split_ratio=0.9, side="right", seed=0, inline=Fa
         text = source
     else:
         try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(source, "rb") as fh:
+                raw = fh.read()
         except OSError as e:
             raise IOError(f"cannot read corpus {source}: {e}") from e
+        text = _decode_text(raw, source)
     chunks = chunk_and_pad(Tokenizer().tokenize(text), n_ctx, side)
     if not chunks:
         return ChunkStore([], side), ChunkStore([], side)
@@ -159,16 +174,17 @@ def write_pairs(path, pairs):
 
 
 def load_pairs(path):
+    with open(path, "rb") as fh:
+        text = _decode_text(fh.read(), path)
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}:{lineno}: expected `query<TAB>target`")
-            q, t = line.split("\t", 1)
-            pairs.append((q, t))
+    for lineno, line in enumerate(io.StringIO(text), 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if "\t" not in line:
+            raise ValueError(f"{path}:{lineno}: expected `query<TAB>target`")
+        q, t = line.split("\t", 1)
+        pairs.append((q, t))
     return pairs
 
 

@@ -112,17 +112,13 @@ def _decode(w_pinv, e):
     return np.argmax(w_pinv @ e.T, axis=0).astype(np.int32)
 
 
-def _target_slice(hiddens, cfg_inv):
-    layer = hiddens[cfg_inv.target_layer]
-    if cfg_inv.last_token_only:
-        return T.narrow(layer, -2, layer.data.shape[-2] - 1, 1)
-    return layer
-
-
 def _activations(model, e_data, ids, cfg_inv, as_leaf=False):
+    """The leaf e and its hidden state at the target layer; no later block runs."""
     e = Tensor(e_data, requires_grad=as_leaf)
-    hiddens = forward_from_embedding(model, e, ids=ids)[1]
-    return e, _target_slice(hiddens, cfg_inv)
+    acts = forward_from_embedding(model, e, ids=ids, layer=cfg_inv.target_layer)[1][-1]
+    if cfg_inv.last_token_only:
+        acts = T.narrow(acts, -2, acts.data.shape[-2] - 1, 1)
+    return e, acts
 
 
 @dataclass

@@ -305,20 +305,30 @@ def _allowed_attention(cfg, mask_dir, ids):
     return base
 
 
-def _run_stack(model, prefix, e, mask_dir, ids=None):
+def _run_stack(model, prefix, e, mask_dir, ids=None, layer=-1, rows=None):
     """Apply one block stack to embeddings e; returns per-layer hidden states.
 
-    The returned list is [e, block_1, ..., block_n, final_norm]; the last
-    entry is the stack's last hidden layer.
+    The full list is [e, block_1, ..., block_n, final_norm]; the last
+    entry is the stack's last hidden layer. The list ends at entry `layer`
+    of the full list: the blocks after it and the final norm are not run.
+
+    With `rows` (one position per sequence), each sequence keeps only that
+    row once the last block has mixed tokens; the rest of that block and
+    the final norm act on each row alone, so they run on (..., 1, d), and
+    so do the entries of the last block and of the final norm.
     """
     cfg = model.config
     params = model.params
+    n_states = cfg.n_layers + 2
+    if not -n_states <= layer < n_states:
+        raise ValueError(f"layer {layer} out of range for {n_states} hidden states")
+    last = layer % n_states
     mixer = cfg.block == "mixer"
     rope = None if mixer else _rope_cache(cfg.n_ctx, cfg.d_model // cfg.n_heads, e.dtype)
     allowed = None if mixer else _allowed_attention(cfg, mask_dir, ids)
     hiddens = [e]
     x = e
-    for i in range(cfg.n_layers):
+    for i in range(min(last, cfg.n_layers)):
         p = f"{prefix}blocks.{i}."
         h = T.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
         if mixer:
@@ -326,11 +336,16 @@ def _run_stack(model, prefix, e, mask_dir, ids=None):
         else:
             mixed = _attention(params, p + "attn.", h, cfg, allowed, rope)
         x = T.add(x, mixed)
+        if rows is not None and i == cfg.n_layers - 1:
+            x = _rows_at(x, rows)
         h2 = T.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
         ff = T.matmul(T.gelu(T.add(T.matmul(h2, params[p + "ff.w1"]), params[p + "ff.b1"])), params[p + "ff.w2"])
         x = T.add(x, T.add(ff, params[p + "ff.b2"]))
         hiddens.append(x)
-    hiddens.append(T.layer_norm(x, params[f"{prefix}ln_f.gain"], params[f"{prefix}ln_f.bias"]))
+    if rows is not None and cfg.n_layers == 0:
+        x = _rows_at(x, rows)
+    if last == n_states - 1:
+        hiddens.append(T.layer_norm(x, params[f"{prefix}ln_f.gain"], params[f"{prefix}ln_f.bias"]))
     return hiddens
 
 
@@ -364,13 +379,17 @@ def _rows_at(h, positions):
 # same leading axes on its outputs: logits are (..., n_ctx, vocab) and
 # hidden states (..., n_ctx, d_model). Sequences in a batch never mix.
 
-def forward_from_embedding(model, e, ids=None):
+def forward_from_embedding(model, e, ids=None, layer=None):
     """Causal logits and hidden states from embeddings, for both causal families.
 
-    `ids` only masks pad keys in attention; mixers ignore it.
+    `ids` only masks pad keys in attention; mixers ignore it. With `layer`
+    (an index into the full hidden-state list), only the blocks that state
+    needs are run, the list ends at it and the logits are None.
     """
     if model.config.topology != "causal":
         raise ValueError(f"embedding-level forward not defined for {model.config.family}")
+    if layer is not None:
+        return None, _run_stack(model, "", e, "forward", ids=ids, layer=layer)
     hiddens = _run_stack(model, "", e, "forward", ids=ids)
     logits = T.matmul(hiddens[-1], model.params["lm_head"])
     return logits, hiddens
@@ -477,7 +496,14 @@ def _embed(model, tokens):
         rows = _encode(model, ids)[1]
     else:
         e = T.embedding_lookup(model.params["wte"], ids)
-        rows = _rows_at(_run_stack(model, "", e, "forward", ids=ids)[-1], second_last)
+        if ids.ndim == 1:
+            # One sequence keeps the full stack: its pruned products would
+            # have one row, which BLAS computes as a matrix-vector product
+            # that rounds differently from the full product, and the
+            # embedding must equal `forward`'s hidden row bit for bit.
+            rows = _rows_at(_run_stack(model, "", e, "forward", ids=ids)[-1], second_last)
+        else:
+            rows = _run_stack(model, "", e, "forward", ids=ids, rows=second_last)[-1]
     return T.reshape(rows, ids.shape[:-1] + (cfg.d_model,))
 
 

@@ -120,6 +120,70 @@ def test_batched_embedding_rejects_a_short_row():
         sequence_embedding(model, ids)
 
 
+def random_padded_ids(rng, n_ctx, batch, side):
+    """(batch, n_ctx) ids, each row with 2 to n_ctx non-pad tokens, pads on `side`."""
+    ids = np.full((batch, n_ctx), PAD_ID)
+    for row, keep in zip(ids, rng.integers(2, n_ctx + 1, size=batch)):
+        row[:keep] = rng.integers(0, 256, size=keep)
+        if side == "left":
+            row[:] = np.roll(row, n_ctx - keep)
+    return ids
+
+
+@pytest.mark.parametrize("family", ["masked_mixer", "transformer"])
+def test_batched_embedding_prunes_last_block_to_one_row(monkeypatch, family):
+    cfg = tiny(family, n_heads=2)
+    model = build_model(cfg, seed=11)
+    ids = random_padded_ids(np.random.default_rng(12), cfg.n_ctx, 5, "right")
+    shapes = []
+    gelu = T.gelu
+
+    def probe(x):
+        shapes.append(x.data.shape)
+        return gelu(x)
+
+    monkeypatch.setattr(T, "gelu", probe)
+    sequence_embedding(model, ids)
+    assert shapes == [(5, cfg.n_ctx, 4 * cfg.d_model), (5, 1, 4 * cfg.d_model)]
+
+
+@pytest.mark.parametrize("family", ["masked_mixer", "transformer"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("batch", [1, 2, 5])
+@pytest.mark.parametrize("n_layers", [0, 2])
+def test_pruned_embedding_matches_full_stack_rows(family, side, batch, n_layers):
+    cfg = tiny(family, padding_side=side, n_heads=2, n_layers=n_layers)
+    model = build_model(cfg, seed=13, dtype=CHECK64)
+    ids = random_padded_ids(np.random.default_rng(14 + batch), cfg.n_ctx, batch, side)
+    second_last = [np.flatnonzero(row != PAD_ID)[-2] for row in ids]
+    with T.no_grad():
+        full = forward(model, ids)[1][-1].data[np.arange(batch), second_last]
+    rows = sequence_embedding(model, ids)
+    assert rows.shape == (batch, cfg.d_model)
+    np.testing.assert_allclose(rows, full, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(embedding_graph(model, ids).data, rows)
+
+
+@pytest.mark.parametrize("family,first", [("masked_mixer", "blocks.0.mix.conv0.w"), ("transformer", "blocks.0.attn.wv")])
+def test_grad_check_pruned_embedding(family, first):
+    cfg = tiny(family, d_model=8, n_heads=2)
+    model = build_model(cfg, seed=15, dtype=CHECK64)
+    model.freeze()
+    rng = np.random.default_rng(16)
+    ids = random_padded_ids(rng, cfg.n_ctx, 3, "left")
+    weights = t64(rng.normal(size=(3, cfg.d_model)))
+    for name in (f"blocks.{cfg.n_layers - 1}.ff.w1", first):
+        def f(x, _name=name):
+            saved = model.params[_name]
+            model.params[_name] = x
+            try:
+                return T.tsum(T.mul(embedding_graph(model, ids), weights))
+            finally:
+                model.params[_name] = saved
+
+        assert grad_check(f, t64(model.params[name].data.copy(), True)) <= 1e-6, name
+
+
 CAUSAL = [f for f in FAMILIES if f[1].family in ("masked_mixer", "transformer")]
 
 

@@ -1,5 +1,6 @@
 """Container round-trips, corruption handling, and the dimension calculator."""
 
+import math
 import struct
 import tracemalloc
 from dataclasses import asdict
@@ -162,6 +163,14 @@ def test_too_many_dimensions_rejected(tmp_path):
     path = tmp_path / "deep.ckpt"
     path.write_bytes(_container(b"{}", [("w", "f32", (1,) * 65, b"\0" * 4)]))
     with pytest.raises(CheckpointFormatError, match=r"tensor 'w' declares 65 dimensions at byte \d+"):
+        read_container(path)
+
+
+@pytest.mark.parametrize("shape", [(2**63, 0), (2**32, 2**31, 0)])
+def test_empty_tensor_with_unindexable_shape_rejected(tmp_path, shape):
+    path = tmp_path / "empty.ckpt"
+    path.write_bytes(_container(b"{}", [("w", "f32", shape, b"")]))
+    with pytest.raises(CheckpointFormatError, match=r"tensor 'w' shape at byte \d+: "):
         read_container(path)
 
 
@@ -380,18 +389,54 @@ def corruption_dir(tmp_path_factory):
     return root
 
 
+ITEMSIZE = {b"f32": 4, b"f64": 8, b"token-i32": 4}
+
+
+def length_fields(raw):
+    """(offset, width) of every length field of a container, found by walking its layout.
+
+    The fields are the config blob length, the tensor count and, per tensor,
+    the name and dtype tag lengths, ndim and each dim.
+    """
+    at = len(MAGIC) + 4
+    (blob,) = struct.unpack_from("<I", raw, at)
+    fields = [(at, 4), (at + 4 + blob, 8)]
+    (count,) = struct.unpack_from("<Q", raw, at + 4 + blob)
+    at += 4 + blob + 8
+    for _ in range(count):
+        for _ in ("name", "tag"):
+            (n,) = struct.unpack_from("<I", raw, at)
+            fields.append((at, 4))
+            tag = bytes(raw[at + 4:at + 4 + n])
+            at += 4 + n
+        (ndim,) = struct.unpack_from("<I", raw, at)
+        dims = struct.unpack_from(f"<{ndim}Q", raw, at + 4)
+        fields += [(at, 4)] + [(at + 4 + 8 * i, 8) for i in range(ndim)]
+        at += 4 + 8 * ndim + math.prod(dims) * ITEMSIZE[tag]
+    assert at == len(raw)
+    return fields
+
+
 @settings(max_examples=400, deadline=None)
-@given(kind=st.sampled_from(sorted(LOADERS)), truncate=st.booleans(), data=st.data())
-def test_corrupted_containers_round_trip_or_raise(corruption_dir, kind, truncate, data):
+@given(kind=st.sampled_from(sorted(LOADERS)), mutation=st.sampled_from(["truncate", "xor", "splice"]), data=st.data())
+def test_corrupted_containers_round_trip_or_raise(corruption_dir, kind, mutation, data):
     root = corruption_dir
     raw = bytearray((root / f"{kind}.ckpt").read_bytes())
     size = len(raw)
-    # about half the offsets land in the first 512 bytes: magic, version, config blob and the first tensor headers
-    offset = data.draw(st.one_of(st.integers(0, 511), st.integers(0, len(raw) - 1)))
-    if truncate:
-        del raw[offset:]
+    if mutation == "splice":
+        # one whole length field gets an arbitrary value or one near its own
+        at, width = data.draw(st.sampled_from(length_fields(raw)))
+        fmt = "<I" if width == 4 else "<Q"
+        (was,) = struct.unpack_from(fmt, raw, at)
+        value = data.draw(st.one_of(st.integers(0, 256**width - 1), st.integers(max(0, was - 16), was + 16)))
+        struct.pack_into(fmt, raw, at, value)
     else:
-        raw[offset] ^= data.draw(st.integers(1, 255))
+        # about half the offsets land in the first 512 bytes: magic, version, config blob and the first tensor headers
+        offset = data.draw(st.one_of(st.integers(0, 511), st.integers(0, len(raw) - 1)))
+        if mutation == "truncate":
+            del raw[offset:]
+        else:
+            raw[offset] ^= data.draw(st.integers(1, 255))
     path = root / f"mutated-{kind}.ckpt"
     path.write_bytes(raw)
     _, save, load, state = LOADERS[kind]
@@ -406,7 +451,7 @@ def test_corrupted_containers_round_trip_or_raise(corruption_dir, kind, truncate
         tracemalloc.stop()
     # the base is the uncorrupted file: raising on a 0-byte truncation still costs a few kB
     assert peak <= PEAK_MEMORY_PER_FILE_BYTE * size, (kind, len(raw), peak)
-    assert not truncate or loaded is None
+    assert mutation != "truncate" or loaded is None
     if loaded is None:
         return
     again = root / f"again-{kind}.ckpt"

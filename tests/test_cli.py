@@ -316,3 +316,22 @@ def test_truncated_container_exit_1_one_error_line(tmp_path, capsys, command):
     assert run_cli([command, *flags, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {raised.value}\n"
+
+
+@pytest.mark.parametrize("command", ["train-clm", "embed"])
+def test_non_utf8_text_exit_1_names_file_and_offset(tmp_path, capsys, command):
+    text = bytearray(b"ab?\tab=ab\n" * 1000)
+    text[9000] = 0xFF  # past the first 8 KB read buffer
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(bytes(text))
+    if command == "train-clm":
+        flags = ["--corpus", str(bad), "--steps", "1", "--d-model", "16", "--n-layers", "1", "--n-ctx", "8"]
+    else:
+        ckpt = tmp_path / "in.ckpt"
+        save_checkpoint(build_model(ModelConfig("masked_mixer", d_model=16, n_layers=1, n_ctx=16), seed=0), ckpt)
+        flags = ["--checkpoint", str(ckpt), "--pairs", str(bad)]
+    capsys.readouterr()
+    assert run_cli([command, *flags, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 at byte 9000: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -128,6 +128,31 @@ def test_build_corpus_unreadable_path():
         build_corpus("/no/such/file.txt", n_ctx=4)
 
 
+def _bad_utf8_file(path, offset, line=b"ab?\tab=ab\n"):
+    """Valid pair lines with one 0xff byte at `offset`, past the first 8 KB read buffer."""
+    raw = bytearray(line * (offset // len(line) + 2))
+    raw[offset] = 0xFF
+    path.write_bytes(bytes(raw))
+    return path
+
+
+@pytest.mark.parametrize("read", [lambda p: build_corpus(p, n_ctx=8), load_pairs], ids=["corpus", "pairs"])
+def test_non_utf8_file_names_path_and_byte_offset(tmp_path, read):
+    path = _bad_utf8_file(tmp_path / "text.txt", 9000)
+    with pytest.raises(ValueError) as raised:
+        read(path)
+    assert str(raised.value).startswith(f"{path}: not UTF-8 at byte 9000: ")
+
+
+def test_text_files_translate_newlines(tmp_path):
+    path = tmp_path / "text.txt"
+    path.write_bytes(b"ab?\tab=ab\r\ncd?\tcd=cd\rx?\tx=x\n")
+    assert load_pairs(path) == [("ab?", "ab=ab"), ("cd?", "cd=cd"), ("x?", "x=x")]
+    train, evals = build_corpus(path, n_ctx=4, split_ratio=0.5)
+    ids = np.concatenate([train.ids.ravel(), evals.ids.ravel()])
+    assert 13 not in ids and np.sum(ids == 10) == 3
+
+
 def test_synthetic_pairs_share_key_prefix():
     pairs = synthetic_pairs(20, np.random.default_rng(1))
     for q, t in pairs:

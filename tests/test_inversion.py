@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixerlab import inversion
 from mixerlab.data import PAD_ID
 from mixerlab.inversion import (
     InversionConfig,
@@ -14,7 +15,8 @@ from mixerlab.inversion import (
     invert_input,
     normalized_hamming,
 )
-from mixerlab.models import ModelConfig, build_model
+from mixerlab.models import ModelConfig, build_model, forward_from_embedding
+from mixerlab.tensor import CHECK64, TRAIN32
 
 
 def small_mixer(seed=0, d_model=64, n_ctx=12):
@@ -208,3 +210,29 @@ def test_model_left_unfrozen_state_restored():
     before = {n: p.requires_grad for n, p in model.params.items()}
     invert_input(model, ids, InversionConfig(n_iters=2, seed=5))
     assert {n: p.requires_grad for n, p in model.params.items()} == before
+
+
+def _full_forward(model, e, ids=None, layer=None):
+    """The reference: every block, ln_f and lm_head run, then the list is cut at `layer`."""
+    logits, hiddens = forward_from_embedding(model, e, ids=ids)
+    return logits, hiddens[: layer % len(hiddens) + 1]
+
+
+@pytest.mark.parametrize("dtype", [CHECK64, TRAIN32])
+@pytest.mark.parametrize("family", ["masked_mixer", "transformer"])
+def test_truncated_forward_inverts_like_the_full_forward(monkeypatch, family, dtype):
+    n = 2
+    model = build_model(ModelConfig(family, d_model=16, n_layers=n, n_ctx=8, n_heads=2), seed=13, dtype=dtype)
+    ids = np.arange(8) * 5 % 250
+    ids[-2:] = PAD_ID
+    for layer in range(-(n + 2), n + 2):
+        for last_token_only in (False, True):
+            cfg = InversionConfig(n_iters=6, target_layer=layer, last_token_only=last_token_only, seed=layer + 9)
+            got = invert_input(model, ids, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(inversion, "forward_from_embedding", _full_forward)
+                want = invert_input(model, ids, cfg)
+            assert got.distances == want.distances, (layer, last_token_only)
+            assert (got.epsilon, got.best_iter, got.calibration_decode_stable) == (
+                want.epsilon, want.best_iter, want.calibration_decode_stable)
+            assert np.array_equal(got.decoded, want.decoded)

@@ -11,9 +11,11 @@ from mixerlab.models import (
     ModelConfig,
     autoencoder_forward,
     bidirectional_forward,
+    Model,
     build_model,
     count_params,
     forward,
+    forward_from_embedding,
     generate,
     intertoken_param_count,
     retrieval_mixer_forward,
@@ -365,6 +367,28 @@ def test_intertoken_param_count_closed_form(kw):
 def test_flat_intertoken_count_formula():
     cfg = tiny(kernel_k=2)
     assert intertoken_param_count(cfg) == cfg.n_layers * cfg.kernel_k * cfg.n_ctx**2
+
+
+@pytest.mark.parametrize("family", ["masked_mixer", "transformer"])
+def test_forward_from_embedding_stops_at_layer(family):
+    cfg = tiny(family, n_layers=3, n_heads=2)
+    model = build_model(cfg, seed=32, dtype=CHECK64)
+    ids = random_tokens(cfg, np.random.default_rng(33))
+    ids[-2:] = PAD_ID
+    e = T.embedding_lookup(model.params["wte"], ids)
+    with T.no_grad():
+        full = forward_from_embedding(model, e, ids=ids)[1]
+    # no logits are computed, so the vocabulary head is never read
+    headless = Model(cfg, {k: v for k, v in model.params.items() if k != "lm_head"})
+    n_states = cfg.n_layers + 2
+    for layer in range(-n_states, n_states):
+        logits, hiddens = forward_from_embedding(headless, e, ids=ids, layer=layer)
+        assert logits is None
+        assert len(hiddens) == layer % n_states + 1
+        for got, want in zip(hiddens, full):
+            assert np.array_equal(got.data, want.data), layer
+    with pytest.raises(ValueError, match="out of range"):
+        forward_from_embedding(model, e, layer=n_states)
 
 
 def test_sequence_embedding_second_to_last_nonpad():
