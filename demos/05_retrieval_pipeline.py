@@ -11,7 +11,7 @@ Run:  python3 demos/05_retrieval_pipeline.py   (takes a few minutes)
 
 import numpy as np
 
-from mixerlab.data import ChunkStore, PAD_ID, TokenSequence, Tokenizer, pairs_to_sequences, synthetic_pairs
+from mixerlab.data import pair_line_chunks, pairs_to_sequences, synthetic_pairs
 from mixerlab.models import ModelConfig, build_model
 from mixerlab.retrieval import (
     InfoNCEConfig,
@@ -24,15 +24,6 @@ from mixerlab.retrieval import (
 from mixerlab.training import TrainConfig, train
 
 
-def line_chunks(pairs, n_ctx):
-    tok = Tokenizer()
-    seqs = []
-    for q, t in pairs:
-        ids = tok.tokenize(f"{q} {t}")[:n_ctx]
-        seqs.append(TokenSequence(np.array([PAD_ID] * (n_ctx - len(ids)) + ids, dtype=np.int32), pad_side="left"))
-    return ChunkStore(seqs, pad_side="left")
-
-
 rng = np.random.default_rng(7)
 pairs = synthetic_pairs(576, rng, key_len=6, payload_len=2)
 train_pairs, eval_pairs = pairs[:512], pairs[512:]
@@ -41,8 +32,8 @@ print(f"pair corpus: {len(train_pairs)} train / {len(eval_pairs)} eval, e.g. {tr
 N_CTX = 20
 gen_cfg = ModelConfig("masked_mixer", d_model=64, n_layers=2, n_ctx=N_CTX, vocab=259, padding_side="left")
 gen = build_model(gen_cfg, seed=0)
-rep = train(gen, (line_chunks(train_pairs, N_CTX), line_chunks(eval_pairs[:32], N_CTX)),
-            TrainConfig(objective="clm", steps=800, batch_size=16, lr=2e-3, eval_every=800, seed=0))
+lm_corpus = (pair_line_chunks(train_pairs, N_CTX, side="left"), pair_line_chunks(eval_pairs[:32], N_CTX, side="left"))
+rep = train(gen, lm_corpus, TrainConfig(objective="clm", steps=800, batch_size=16, lr=2e-3, eval_every=800, seed=0))
 print(f"\nleft-padded CLM pretraining: eval loss -> {rep.final_eval_loss():.3f}")
 
 tq, tt = pairs_to_sequences(train_pairs, N_CTX)

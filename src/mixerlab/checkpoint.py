@@ -168,6 +168,11 @@ def _check_float_dtype(path, arrays, what):
 
 
 def _model_config(path, fields_obj):
+    # older containers carry the removed reverse-stack embedding switch,
+    # always false; any other value names a layout this version cannot build
+    fields_obj = dict(fields_obj)
+    if fields_obj.pop("bidir_separate_wte", False) is not False:
+        raise CheckpointFormatError(f"model config 'bidir_separate_wte' in {path} must be false (removed option)")
     for f in fields(ModelConfig):
         if f.name in fields_obj and type(fields_obj[f.name]) is not f.type:
             raise CheckpointFormatError(f"model config {f.name!r} in {path} is not a {f.type.__name__}")

@@ -109,7 +109,7 @@ def build_parser():
     p = command("train-retrieval-infonce", help="contrastive fine-tuning of an embedding model")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--pairs", type=Path, required=True)
-    p.add_argument("--holdout", type=int, default=None)
+    p.add_argument("--holdout", type=int, default=None, help="pairs reserved for eval (default 10%%)")
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--negatives", type=int, default=31)
     p.add_argument("--tau", type=float, default=0.02)
@@ -220,11 +220,17 @@ def _run_embed(args):
     return 0
 
 
+def _holdout(args, n):
+    """The eval pairs of a retrieval command: --holdout, or 10% of the n pairs (at least one)."""
+    holdout = args.holdout if args.holdout is not None else max(1, n // 10)
+    if not 0 < holdout < n:
+        raise ValueError(f"holdout must lie in (0, {n}) for {n} pairs, got {holdout}")
+    return holdout
+
+
 def _run_indirect(args):
     store = load_embedding_store(args.embeddings)
-    holdout = args.holdout if args.holdout is not None else max(1, len(store) // 10)
-    if holdout >= len(store):
-        raise ValueError("holdout leaves no training pairs")
+    holdout = _holdout(args, len(store))
     train_store, eval_store = normalize_store(store, holdout=holdout, dim=args.pca_dim)
     scorer = build_model(
         ModelConfig("retrieval_mixer", d_model=train_store.queries.shape[1], n_layers=args.n_layers, n_ctx=args.candidates, vocab=3),
@@ -244,7 +250,7 @@ def _run_indirect(args):
 def _run_infonce(args):
     model = load_checkpoint(args.checkpoint)
     queries, targets = _load_pair_sequences(args.pairs, model.config.n_ctx)
-    holdout = args.holdout if args.holdout is not None else max(1, len(queries) // 10)
+    holdout = _holdout(args, len(queries))
     cfg = InfoNCEConfig(
         tau=args.tau, negatives=args.negatives, batches_per_update=args.batches_per_update,
         lr=args.lr, steps=args.steps, seed=args.seed, eval_every=args.eval_every,

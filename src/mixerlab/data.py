@@ -62,6 +62,13 @@ class TokenSequence:
         return self.ids[self.ids != PAD_ID]
 
 
+def _pad(ids, n_ctx, side):
+    """The first n_ctx ids of a list as an int32 array, filled to n_ctx with PAD_ID on `side`."""
+    ids = ids[:n_ctx]
+    pad = [PAD_ID] * (n_ctx - len(ids))
+    return np.asarray(pad + ids if side == "left" else ids + pad, dtype=np.int32)
+
+
 def chunk_and_pad(ids, n_ctx, side="right"):
     """Split ids into length-n_ctx chunks, padding the final partial chunk.
 
@@ -70,13 +77,10 @@ def chunk_and_pad(ids, n_ctx, side="right"):
     if n_ctx < 2:
         raise ValueError(f"n_ctx must be >= 2, got {n_ctx}")
     ids = list(ids)
-    chunks = []
-    for start in range(0, len(ids), n_ctx):
-        part = ids[start:start + n_ctx]
-        pad = [PAD_ID] * (n_ctx - len(part))
-        full = pad + part if side == "left" else part + pad
-        chunks.append(TokenSequence(np.asarray(full, dtype=np.int32), pad_side=side))
-    return chunks
+    return [
+        TokenSequence(_pad(ids[start:start + n_ctx], n_ctx, side), pad_side=side)
+        for start in range(0, len(ids), n_ctx)
+    ]
 
 
 class ChunkStore:
@@ -195,28 +199,14 @@ def pair_line_chunks(pairs, n_ctx, side="left"):
     structure that chunked concatenation would straddle.
     """
     tok = Tokenizer()
-    seqs = []
-    for q, t in pairs:
-        ids = tok.tokenize(f"{q} {t}")[:n_ctx]
-        pad = [PAD_ID] * (n_ctx - len(ids))
-        full = pad + ids if side == "left" else ids + pad
-        seqs.append(TokenSequence(np.asarray(full, dtype=np.int32), pad_side=side))
+    seqs = [TokenSequence(_pad(tok.tokenize(f"{q} {t}"), n_ctx, side), pad_side=side) for q, t in pairs]
     return ChunkStore(seqs, pad_side=side)
 
 
 def pairs_to_sequences(pairs, n_ctx, side="left"):
     """Tokenize and pad each side of the pairs to fixed-length sequences."""
     tok = Tokenizer()
-
-    def prep(text):
-        ids = tok.tokenize(text)
-        if len(ids) > n_ctx:
-            ids = ids[:n_ctx]
-        pad = [PAD_ID] * (n_ctx - len(ids))
-        full = pad + ids if side == "left" else ids + pad
-        return np.asarray(full, dtype=np.int32)
-
-    queries = [prep(q) for q, _ in pairs]
-    targets = [prep(t) for _, t in pairs]
+    queries = [_pad(tok.tokenize(q), n_ctx, side) for q, _ in pairs]
+    targets = [_pad(tok.tokenize(t), n_ctx, side) for _, t in pairs]
     return queries, targets
 

@@ -18,13 +18,14 @@ from .data import PAD_ID
 from .models import _as_ids, forward_from_embedding
 from .tensor import Tensor, backward, pinv
 
+INIT_MEAN = 0.5  # the first iterate is INIT_MEAN + N(0, INIT_STD^2) in every coordinate
+INIT_STD = 1.0 / 20.0
+
 
 @dataclass(frozen=True)
 class InversionConfig:
     n_iters: int = 500
     eta: float = 0.1  # tuned once on the untrained flat mixer, then frozen
-    init_mean: float = 0.5
-    init_std: float = 1.0 / 20.0
     calib_noise_std: float = 1.0 / 20.0
     target_layer: int = -2  # last block output; -1 selects the post-norm state
     last_token_only: bool = False
@@ -127,31 +128,24 @@ class CalibrationResult:
     decode_stable: bool
 
 
-def _checked_ids(model, tokens, cfg):
-    cfg_m = model.config
-    ids = _as_ids(tokens, cfg_m)
-    if not -(cfg_m.n_layers + 2) <= cfg.target_layer < cfg_m.n_layers + 2:
-        raise ValueError(f"target layer {cfg.target_layer} out of range")
-    return ids
-
-
-def calibrate_epsilon(model, tokens, cfg, rng=None):
+def calibrate_epsilon(model, tokens, cfg):
     """Activation shift caused by tiny Gaussian noise on the true embedding.
 
     Also checks that the noise leaves the pseudoinverse decode unchanged;
     a violation is recorded, not fatal.
     """
-    ids = _checked_ids(model, tokens, cfg)
-    rng = rng or np.random.default_rng(cfg.seed + 1)
-    return _calibrate(model, ids, cfg, rng, pinv(model.params["wte"].data))
-
-
-def _calibrate(model, ids, cfg, rng, w_pinv):
-    """calibrate_epsilon given the embedding matrix's pseudoinverse."""
+    ids = _as_ids(tokens, model.config)
     e_true = T.embedding_lookup(model.params["wte"], ids).data
-    noise = rng.normal(0.0, cfg.calib_noise_std, size=e_true.shape).astype(model.dtype)
     with T.no_grad():
         _, base = _activations(model, e_true, ids, cfg)
+    return _calibrate(model, ids, cfg, e_true, base, pinv(model.params["wte"].data))
+
+
+def _calibrate(model, ids, cfg, e_true, base, w_pinv):
+    """calibrate_epsilon given the true embedding, its activations and the embedding matrix's pseudoinverse."""
+    rng = np.random.default_rng(cfg.seed + 1)
+    noise = rng.normal(0.0, cfg.calib_noise_std, size=e_true.shape).astype(model.dtype)
+    with T.no_grad():
         _, shifted = _activations(model, e_true + noise, ids, cfg)
     epsilon = float(np.abs(shifted.data - base.data).sum())
     stable = bool(np.array_equal(_decode(w_pinv, e_true), _decode(w_pinv, e_true + noise)))
@@ -164,7 +158,7 @@ def invert_input(model, tokens, cfg, model_id=""):
     Returns the best iterate's decode, its Hamming distance to the truth,
     and the epsilon-calibrated convergence verdict.
     """
-    ids = _checked_ids(model, tokens, cfg)
+    ids = _as_ids(tokens, model.config)
     rng = np.random.default_rng(cfg.seed)
     dtype = model.dtype
 
@@ -176,7 +170,7 @@ def invert_input(model, tokens, cfg, model_id=""):
             _, target = _activations(model, e_true, ids, cfg)
         target = Tensor(target.data.copy())
 
-        iterate = (cfg.init_mean + rng.normal(0.0, cfg.init_std, size=e_true.shape)).astype(dtype)
+        iterate = (INIT_MEAN + rng.normal(0.0, INIT_STD, size=e_true.shape)).astype(dtype)
         best_dist = np.inf
         best_iter = 0
         best_e = iterate.copy()
@@ -201,7 +195,7 @@ def invert_input(model, tokens, cfg, model_id=""):
             best_dist, best_iter, best_e = final, cfg.n_iters, iterate.copy()
 
         w_pinv = pinv(model.params["wte"].data)  # one SVD serves the calibration and the decode
-        calib = _calibrate(model, ids, cfg, np.random.default_rng(cfg.seed + 1), w_pinv)
+        calib = _calibrate(model, ids, cfg, e_true, target, w_pinv)
         decoded = _decode(w_pinv, best_e)
         return InversionReport(
             final_distance=best_dist,

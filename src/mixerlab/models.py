@@ -65,7 +65,6 @@ class ModelConfig:
     expansion: int = 1
     softmax_weights: bool = False
     padding_side: str = "right"
-    bidir_separate_wte: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -174,8 +173,6 @@ def _param_specs(cfg):
         yield "lm_head", (d, v), "head"
     elif cfg.topology == "bidirectional":
         yield from _stack_param_specs(cfg, "fwd.", mixer)
-        if cfg.bidir_separate_wte:
-            yield "wte_rev", (d, v), "embedding"
         yield from _stack_param_specs(cfg, "rev.", mixer)
         yield "combine_fwd", (d, d), "linear"
         yield "combine_rev", (d, d), "linear"
@@ -402,12 +399,12 @@ def bidirectional_forward(model, tokens):
     are joined by exactly one linear combination before the shared head,
     so position n's logits carry no gradient from token n's embedding.
     """
-    cfg = model.config
-    ids = _as_ids(tokens, cfg)
+    ids = _as_ids(tokens, model.config)
     params = model.params
+    # one lookup per stack: wte's gradient is the sum of two scatters, whose
+    # rounding differs from one scatter of the summed stack gradients
     e_fwd = T.embedding_lookup(params["wte"], ids)
-    wte_rev = params["wte_rev"] if cfg.bidir_separate_wte else params["wte"]
-    e_rev = T.embedding_lookup(wte_rev, ids)
+    e_rev = T.embedding_lookup(params["wte"], ids)
     h_fwd = _run_stack(model, "fwd.", e_fwd, "forward", ids=ids)[-1]
     h_rev = _run_stack(model, "rev.", e_rev, "reverse", ids=ids)[-1]
     combined = T.add(

@@ -17,7 +17,7 @@ from . import tensor as T
 from .data import PAD_ID
 from .models import _as_ids, embedding_graph, retrieval_mixer_forward, sequence_embedding
 from .tensor import Tensor
-from .training import TrainConfig, _run_steps
+from .training import TrainConfig, _check_positive, _run_steps
 
 log = logging.getLogger(__name__)
 
@@ -71,14 +71,13 @@ class InfoNCEConfig:
     steps: int = 500
     seed: int = 0
     eval_every: int = 100
-    weight_decay: float = 0.01
-    grad_clip: float = 1.0
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.negatives < 1:
             raise ValueError("need at least one negative")
+        _check_positive(self, "steps", "eval_every", "batches_per_update")
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +145,20 @@ def split_store(store, holdout):
     )
 
 
+def _unit_rows(stores, transform):
+    """Each store's (query, target) tables from `transform(store)`, rows scaled to unit length.
+
+    One store gives one store, several a tuple.
+    """
+    out = []
+    for store in stores:
+        q, t = transform(store)
+        q = q / np.linalg.norm(q, axis=1, keepdims=True)
+        t = t / np.linalg.norm(t, axis=1, keepdims=True)
+        out.append(EmbeddingStore(q, t, store.source_model_id, store.convention))
+    return out[0] if len(out) == 1 else tuple(out)
+
+
 def center_and_normalize(train_store, *others):
     """Subtract the training means and scale rows to unit length.
 
@@ -154,16 +167,7 @@ def center_and_normalize(train_store, *others):
     """
     mu_q = train_store.queries.mean(axis=0)
     mu_t = train_store.targets.mean(axis=0)
-
-    def prep(store):
-        q = store.queries - mu_q
-        t = store.targets - mu_t
-        q = q / np.linalg.norm(q, axis=1, keepdims=True)
-        t = t / np.linalg.norm(t, axis=1, keepdims=True)
-        return EmbeddingStore(q, t, store.source_model_id, store.convention)
-
-    out = [prep(train_store)] + [prep(s) for s in others]
-    return out[0] if not others else tuple(out)
+    return _unit_rows((train_store, *others), lambda s: (s.queries - mu_q, s.targets - mu_t))
 
 
 def pca_project(train_store, *others, dim=16):
@@ -177,16 +181,7 @@ def pca_project(train_store, *others, dim=16):
     x = np.concatenate([train_store.queries, train_store.targets])
     _, _, vt = np.linalg.svd(x, full_matrices=False)
     basis = vt[: min(dim, vt.shape[0])].T
-
-    def prep(store):
-        q = store.queries @ basis
-        t = store.targets @ basis
-        q = q / np.linalg.norm(q, axis=1, keepdims=True)
-        t = t / np.linalg.norm(t, axis=1, keepdims=True)
-        return EmbeddingStore(q, t, store.source_model_id, store.convention)
-
-    out = [prep(train_store)] + [prep(s) for s in others]
-    return out[0] if not others else tuple(out)
+    return _unit_rows((train_store, *others), lambda s: (s.queries @ basis, s.targets @ basis))
 
 
 def normalize_store(store, holdout, dim=16):
@@ -245,7 +240,6 @@ def train_indirect(model, store, eval_store, steps=200, batch_size=16, lr=1e-4, 
     The match-detection circuit sits behind a long optimization plateau, so
     the learning rate stays constant.
     """
-    cfg = TrainConfig(steps=steps, lr=lr, seed=seed, eval_every=eval_every, batch_size=batch_size)
     c = model.config.n_ctx
     rng = np.random.default_rng(seed)
 
@@ -267,7 +261,8 @@ def train_indirect(model, store, eval_store, steps=200, batch_size=16, lr=1e-4, 
             return set_loss(batches).item()
 
     return _run_steps(
-        model, cfg, lr_at=lambda step: lr, step_loss=step_loss, eval_loss=eval_ce, tokens_per_step=batch_size * c
+        model, TrainConfig(steps=steps, eval_every=eval_every), lr_at=lambda step: lr, step_loss=step_loss,
+        eval_loss=eval_ce, tokens_per_step=batch_size * c,
     )
 
 
@@ -347,8 +342,9 @@ def train_infonce(model, pair_corpus, cfg, eval_pairs=None):
         with T.no_grad():
             return infonce_loss(Tensor(q), Tensor(t), Tensor(t[np.array(negs)]), cfg.tau).item()
 
+    run_cfg = TrainConfig(steps=cfg.steps, eval_every=cfg.eval_every)
     return _run_steps(
-        model, cfg, lr_at=lambda step: cfg.lr * (1.0 - step / cfg.steps), step_loss=step_loss, eval_loss=eval_loss,
+        model, run_cfg, lr_at=lambda step: run_cfg.lr_at(step, cfg.lr), step_loss=step_loss, eval_loss=eval_loss,
         tokens_per_step=cfg.batches_per_update,
     )
 

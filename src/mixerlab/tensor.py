@@ -25,6 +25,8 @@ _PRECISIONS = {"train32": TRAIN32, "check64": CHECK64}
 
 _NEG_BIG = 1e30  # additive mask constant; exp(-1e30 - anything sane) underflows to exactly 0
 
+PINV_RCOND = 1e-10  # pinv zeroes singular values below PINV_RCOND * sigma_max
+
 _creation_counter = itertools.count()
 
 _local = threading.local()  # graphs are thread-confined; so is the grad switch
@@ -71,8 +73,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -704,16 +706,16 @@ def grad_check(f, x, h=1e-5):
 # ---------------------------------------------------------------------------
 # linear algebra and sampling utilities (no graph participation)
 
-def pinv(w, rcond=1e-10):
+def pinv(w):
     """Moore-Penrose pseudoinverse via SVD with singular-value cutoff.
 
-    Singular values below rcond * sigma_max are zeroed, which realizes the
+    Singular values below PINV_RCOND * sigma_max are zeroed, which realizes the
     ridge-regularized inverse in its zero-regularization limit while staying
     rank-deficiency safe.
     """
     a = w.data if isinstance(w, Tensor) else np.asarray(w)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = rcond * (s.max() if s.size else 0.0)
+    cutoff = PINV_RCOND * (s.max() if s.size else 0.0)
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     result = (vt.T * inv_s) @ u.T
     return Tensor(result) if isinstance(w, Tensor) else result

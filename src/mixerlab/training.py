@@ -34,6 +34,14 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
 
+def _check_positive(cfg, *names):
+    """Raise ValueError naming the first of `cfg`'s fields `names` that is below 1."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     objective: str = "clm"
@@ -50,8 +58,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        _check_positive(self, "steps", "batch_size", "eval_every")
         if self.multi_m < 1 or self.multi_m > 4:
             raise ValueError("multi-token width must lie in [1, 4]")
 

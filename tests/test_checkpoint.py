@@ -270,6 +270,8 @@ def test_model_bad_tensors_rejected(tmp_path, edit, message):
         ({"softmax_weights": 0}, "'softmax_weights' .* is not a bool"),
         ({"vocab": 258}, r"'wte' .* shape \(8, 259\), expected \(8, 258\)"),
         ({"n_layers": 10**12}, "lacks tensor 'blocks.1.ln1.gain'"),  # without building 10^13 specs
+        ({"bidir_separate_wte": True}, "'bidir_separate_wte' .* must be false"),
+        ({"bidir_separate_wte": 0}, "'bidir_separate_wte' .* must be false"),
     ],
 )
 def test_model_invalid_config_rejected(tmp_path, changes, message):
@@ -278,6 +280,20 @@ def test_model_invalid_config_rejected(tmp_path, changes, message):
     write_container(path, model_blob(model, **changes), model_tensors(model))
     with pytest.raises(CheckpointFormatError, match=message):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_legacy_bidir_separate_wte_false_loads_exactly(tmp_path, dtype):
+    # containers written while ModelConfig had the field carry it as false
+    model = build_model(ModelConfig("bidirectional_mixer", d_model=8, n_layers=1, n_ctx=6), seed=2, dtype=dtype)
+    path = tmp_path / "m.ckpt"
+    write_container(path, model_blob(model, bidir_separate_wte=False), model_tensors(model))
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config
+    assert list(loaded.params) == list(model.params)
+    for name, p in model.params.items():
+        assert loaded.params[name].data.dtype == dtype
+        assert loaded.params[name].data.tobytes() == p.data.tobytes()
 
 
 def test_model_config_missing_rejected(tmp_path):

@@ -335,3 +335,41 @@ def test_non_utf8_text_exit_1_names_file_and_offset(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not UTF-8 at byte 9000: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+HOLDOUT_COMMANDS = {  # command: flags around the 100-pair input at {ckpt}
+    "train-retrieval-indirect": ["--embeddings", "{ckpt}", "--steps", "1", "--candidates", "4", "--pca-dim", "4"],
+    "train-retrieval-infonce": ["--checkpoint", "{ckpt}", "--pairs", "{pairs}", "--steps", "1", "--negatives", "2"],
+}
+
+
+@pytest.mark.parametrize("holdout", [-60, 0, 100])
+@pytest.mark.parametrize("command", sorted(HOLDOUT_COMMANDS))
+def test_holdout_outside_pair_count_exit_1(tmp_path, capsys, command, holdout):
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs(pairs, synthetic_pairs(100, np.random.default_rng(0)))
+    ckpt = tmp_path / "in.ckpt"
+    if command == "train-retrieval-indirect":
+        rng = np.random.default_rng(1)
+        save_embedding_store(EmbeddingStore(queries=rng.normal(size=(100, 8)), targets=rng.normal(size=(100, 8))), ckpt)
+    else:
+        cfg = ModelConfig("masked_mixer", d_model=16, n_layers=1, n_ctx=16, vocab=259, padding_side="left")
+        save_checkpoint(build_model(cfg, seed=0), ckpt)
+    flags = [f.format(ckpt=ckpt, pairs=pairs) for f in HOLDOUT_COMMANDS[command]]
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run_cli([command, *flags, "--holdout", str(holdout), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: holdout must lie in (0, 100) for 100 pairs, got {holdout}\n"
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--steps", "-3"), ("--eval-every", "0"), ("--batch-size", "0")])
+def test_train_config_below_one_exit_1_names_field(tmp_path, corpus_file, capsys, flag, value):
+    argv = ["train-clm", "--corpus", str(corpus_file), "--d-model", "16", "--n-layers", "1", "--n-ctx", "8"]
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run_cli([*argv, flag, value, "--out", str(out)]) == 1
+    field = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {field} must be >= 1, got {value}\n"
+    assert not (out / "model.ckpt").exists()

@@ -267,6 +267,9 @@ def test_infonce_config_validation():
         InfoNCEConfig(tau=0.0)
     with pytest.raises(ValueError, match="negative"):
         InfoNCEConfig(negatives=0)
+    for field in ("steps", "eval_every", "batches_per_update"):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+            InfoNCEConfig(**{field: 0})
 
 
 # ---------------------------------------------------------------------------

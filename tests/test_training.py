@@ -225,6 +225,12 @@ def test_multi_token_m_bound():
         TrainConfig(objective="multi_token", multi_m=5)
 
 
+@pytest.mark.parametrize("field", ["steps", "batch_size", "eval_every"])
+def test_train_config_counts_at_least_one(field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+        TrainConfig(**{field: 0})
+
+
 # ---------------------------------------------------------------------------
 # many-token
 
