@@ -116,7 +116,10 @@ def read_container(path):
         (count,) = struct.unpack("<Q", r.take(8, "tensor count"))
         tensors = {}
         for _ in range(count):
+            name_at = r.offset
             name = r.take_str("tensor name")
+            if name in tensors:
+                raise CheckpointFormatError(f"duplicate tensor name {name!r} at byte {name_at}")
             tag = r.take_str("dtype tag")
             if tag not in _DTYPE_TAGS:
                 raise CheckpointFormatError(f"unknown dtype tag {tag!r} at byte {r.offset}")

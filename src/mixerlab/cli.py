@@ -31,7 +31,7 @@ from .retrieval import (
     train_infonce,
     write_accuracy_csv,
 )
-from .training import OBJECTIVES, TrainConfig, train, write_metrics_csv
+from .training import OBJECTIVES, TrainConfig, _check_positive, train, write_metrics_csv
 
 OBJECTIVE_BY_COMMAND = {
     "train-clm": "clm",
@@ -279,6 +279,7 @@ def _run_retrieve_eval(args):
 
 
 def _run_invert(args):
+    _check_positive(args, "runs")
     model = load_checkpoint(args.checkpoint)
     n_ctx = model.config.n_ctx
     rng = np.random.default_rng(args.seed)

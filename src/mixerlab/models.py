@@ -468,6 +468,8 @@ def generate(model, prompt, n_new):
     prompt = np.asarray(prompt, dtype=np.int64)
     if prompt.ndim != 1:
         raise ValueError("prompt must be a flat token vector")
+    if n_new < 0:
+        raise ValueError(f"n_new must be >= 0, got {n_new}")
     if len(prompt) + n_new > cfg.n_ctx:
         raise ValueError(f"prompt ({len(prompt)}) + n_new ({n_new}) exceeds context {cfg.n_ctx}")
     if len(prompt) == 0:

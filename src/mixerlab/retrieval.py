@@ -388,6 +388,8 @@ def eval_topk_accuracy(store, sample_sizes, trials, rng=None):
     targets. Sizes needing more targets than available are skipped with a
     notice. Monotone non-increase in n is reported, not asserted.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = rng or np.random.default_rng(0)
     size = len(store)
     rows = []

@@ -16,7 +16,6 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 TRAIN32 = np.float32
 CHECK64 = np.float64
@@ -272,7 +271,8 @@ def _erf_f32(z, out):
 def gelu(a):
     """Gaussian-error-linear unit, erf form: x * 0.5 * (1 + erf(x * sqrt(1/2))).
 
-    float64 inputs use the exact scipy.special.erf, float32 inputs
+    float64 inputs use the exact scipy.special.erf, imported on first use
+    so that a float32-only run never loads scipy; float32 inputs use
     `_erf_f32`. Every constant is cast to x's dtype, so a float32 input
     stays float32 in both passes (a float64 scalar would promote the
     backward's arrays to float64), and the arithmetic runs in place: the
@@ -284,6 +284,8 @@ def gelu(a):
     if x.dtype == np.float32:
         _erf_f32(phi, out=phi)
     else:
+        from scipy.special import erf
+
         erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5

@@ -107,15 +107,16 @@ def test_trailing_garbage_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def _entry(name, tag, shape, data):
+    """The bytes of one tensor-table entry."""
+    out = b"".join(struct.pack("<I", len(text)) + text.encode() for text in (name, tag))
+    return out + struct.pack("<I", len(shape)) + b"".join(struct.pack("<Q", n) for n in shape) + data
+
+
 def _container(blob, tensors=()):
     """Container bytes built by hand: magic, version, blob, then (name, tag, shape, data) entries."""
-    out = bytearray(MAGIC) + struct.pack("<I", 1) + struct.pack("<I", len(blob)) + blob
-    out += struct.pack("<Q", len(tensors))
-    for name, tag, shape, data in tensors:
-        for text in (name, tag):
-            out += struct.pack("<I", len(text)) + text.encode()
-        out += struct.pack("<I", len(shape)) + b"".join(struct.pack("<Q", n) for n in shape) + data
-    return bytes(out)
+    out = MAGIC + struct.pack("<I", 1) + struct.pack("<I", len(blob)) + blob
+    return out + struct.pack("<Q", len(tensors)) + b"".join(_entry(*t) for t in tensors)
 
 
 BLOB_AT = len(MAGIC) + 4 + 4  # the blob follows magic, version and its length
@@ -395,6 +396,24 @@ LOADERS = {
     "chunks": (tiny_chunk_store, save_chunk_store, load_chunk_store, chunk_state),
     "embeddings": (tiny_embedding_store, save_embedding_store, load_embedding_store, embedding_state),
 }
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_duplicate_tensor_name_rejected_with_offset(tmp_path, kind):
+    # an all-zero second entry named like the first must not replace it
+    make, save, load, _ = LOADERS[kind]
+    path = tmp_path / f"{kind}.ckpt"
+    save(make(), path)
+    name, first = next(iter(read_container(path)[1].items()))
+    raw = bytearray(path.read_bytes())
+    (blob_len,) = struct.unpack_from("<I", raw, BLOB_AT - 4)
+    count_at = BLOB_AT + blob_len
+    struct.pack_into("<Q", raw, count_at, struct.unpack_from("<Q", raw, count_at)[0] + 1)
+    tag = {np.dtype(np.float32): "f32", np.dtype(np.int32): "token-i32"}[first.dtype]
+    second_at = len(raw)
+    path.write_bytes(bytes(raw) + _entry(name, tag, first.shape, np.zeros_like(first).tobytes()))
+    with pytest.raises(CheckpointFormatError, match=rf"^duplicate tensor name '{name}' at byte {second_at}$"):
+        load(path)
 
 
 @pytest.fixture(scope="module")

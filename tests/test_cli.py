@@ -373,3 +373,26 @@ def test_train_config_below_one_exit_1_names_field(tmp_path, corpus_file, capsys
     field = flag[2:].replace("-", "_")
     assert capsys.readouterr().err == f"error: {field} must be >= 1, got {value}\n"
     assert not (out / "model.ckpt").exists()
+
+
+COUNT_CASES = {  # command: (a count it cannot run, the error naming it, the artifact it must not write)
+    "invert": (["--runs", "0"], "runs must be >= 1, got 0", "inversion.csv"),
+    "retrieve-eval": (["--trials", "0"], "trials must be >= 1, got 0", "accuracy.csv"),
+    "generate": (["--n-new", "-1"], "n_new must be >= 0, got -1", "generation.txt"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COUNT_CASES))
+def test_count_it_cannot_run_exit_1_names_value(tmp_path, capsys, command):
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs(pairs, synthetic_pairs(24, np.random.default_rng(0)))
+    ckpt = tmp_path / "in.ckpt"
+    cfg = ModelConfig("masked_mixer", d_model=16, n_layers=1, n_ctx=16, vocab=259, padding_side="left")
+    save_checkpoint(build_model(cfg, seed=0), ckpt)
+    count, message, artifact = COUNT_CASES[command]
+    flags = [f.format(ckpt=ckpt, pairs=pairs) for f in CONTAINER_COMMANDS[command]]
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run_cli([command, *flags, *count, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / artifact).exists()
