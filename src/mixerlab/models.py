@@ -1,11 +1,13 @@
 """Model families built as composable forward graphs.
 
 All families share one parameter-table representation. Causality is
-enforced by multiplying a 0/1 mask into convolution weights (or attention
-scores) inside the forward pass, so masked routes receive exactly zero
-gradient and perturbing a masked-out position cannot change the output.
+enforced inside the forward pass, by multiplying a 0/1 mask into
+convolution weights or by giving masked attention scores a weight of
+exactly 0, so masked routes receive exactly zero gradient and perturbing a
+masked-out position cannot change the output.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +71,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if self.d_model < 1:
+            raise ValueError(f"d_model must be >= 1, got {self.d_model}")
+        if self.n_layers < 0:  # 0 is legal: the stack is then its final norm alone
+            raise ValueError(f"n_layers must be >= 0, got {self.n_layers}")
         if self.n_ctx < 2:
             raise ValueError(f"n_ctx must be >= 2, got {self.n_ctx}")
         if not 1 <= self.kernel_k <= self.n_ctx:
@@ -248,45 +254,35 @@ def _one_conv(params, prefix, x, cfg, mask):
     return T.masked_conv1d(x, w, mask)
 
 
+@functools.lru_cache(maxsize=None)
 def _rope_cache(n_ctx, d_head, dtype):
+    """Read-only (cos, sin) tables of shape (n_ctx, d_head) for `T.rope`."""
     half = d_head // 2
     inv_freq = 10000.0 ** (-np.arange(half) / half)
     angles = np.outer(np.arange(n_ctx), inv_freq)
     cos = np.concatenate([np.cos(angles), np.cos(angles)], axis=1).astype(dtype)
     sin = np.concatenate([np.sin(angles), np.sin(angles)], axis=1).astype(dtype)
-    rot = np.zeros((d_head, d_head))
-    for c in range(half):
-        rot[c + half, c] = -1.0
-        rot[c, c + half] = 1.0
-    return Tensor(cos), Tensor(sin), Tensor(rot.astype(dtype))
-
-
-def _rope(x, cache):
-    cos, sin, rot = cache
-    return T.add(T.mul(x, cos), T.mul(T.matmul(x, rot), sin))
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
 
 
 def _attention(params, prefix, h, cfg, allowed, rope):
     """Multi-head attention with every head on one axis: (..., S, D) -> (..., H, S, d_head).
 
-    The heads run as one batched product each for the scores and for the
-    values, and are merged back to head-major columns before wo.
+    The heads run as one `T.attention` node, and are merged back to
+    head-major columns before wo.
     """
     n_heads, d_head = cfg.n_heads, cfg.d_model // cfg.n_heads
-    dtype = h.dtype
-    allowed = allowed[..., None, :, :]  # one mask per sequence, shared by its heads
-    m = Tensor(allowed.astype(dtype))
-    fill = Tensor(((1.0 - allowed) * -T._NEG_BIG).astype(dtype))
     lead = h.shape[:-1]
 
     def split(w):
         proj = T.reshape(T.matmul(h, params[prefix + w]), lead + (n_heads, d_head))
         return T.swapaxes(proj, -3, -2)
 
-    q, k, v = _rope(split("wq"), rope), _rope(split("wk"), rope), split("wv")
-    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d_head))
-    att = T.softmax(T.add(T.mul(scores, m), fill), axis=-1)
-    merged = T.reshape(T.swapaxes(T.matmul(att, v), -3, -2), h.shape)
+    q, k, v = T.rope(split("wq"), *rope), T.rope(split("wk"), *rope), split("wv")
+    # one mask per sequence, shared by its heads
+    heads = T.attention(q, k, v, allowed[..., None, :, :])
+    merged = T.reshape(T.swapaxes(heads, -3, -2), h.shape)
     return T.matmul(merged, params[prefix + "wo"])
 
 

@@ -178,6 +178,8 @@ def pca_project(train_store, *others, dim=16):
     pair signal into a few directions shortens it dramatically. Rows are
     re-normalized to unit length after projection.
     """
+    if dim < 1:
+        raise ValueError(f"pca_dim must be >= 1, got {dim}")
     x = np.concatenate([train_store.queries, train_store.targets])
     _, _, vt = np.linalg.svd(x, full_matrices=False)
     basis = vt[: min(dim, vt.shape[0])].T
@@ -385,11 +387,15 @@ def eval_topk_accuracy(store, sample_sizes, trials, rng=None):
     """Top-1 accuracy per candidate-set size n over seeded random draws.
 
     Each trial scores one query against its true target plus n-2 distractor
-    targets. Sizes needing more targets than available are skipped with a
-    notice. Monotone non-increase in n is reported, not asserted.
+    targets, so every n must be at least 2. Sizes needing more targets than
+    available are skipped with a notice. Monotone non-increase in n is
+    reported, not asserted.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    small = [n for n in sample_sizes if n < 2]
+    if small:
+        raise ValueError(f"sizes must be >= 2, got {small[0]}")
     rng = rng or np.random.default_rng(0)
     size = len(store)
     rows = []

@@ -483,31 +483,121 @@ def softmax(a, axis=-1):
     return _make(out_data, (a,), backward)
 
 
+def _row_mean(a):
+    """Mean over the last axis, keeping it: the same bits as `a.mean(axis=-1, keepdims=True)`.
+
+    `mean` divides the sum by an integer count in float64 and rounds the
+    quotient back to a's dtype; a float32 quotient rounded once more
+    through float64 is the correctly rounded float32 quotient, so dividing
+    in a's dtype gives the same bits without the float64 detour.
+    """
+    s = np.add.reduce(a, axis=-1, keepdims=True)
+    s /= a.shape[-1]
+    return s
+
+
 def layer_norm(x, gain, bias, eps=1e-5):
     """Per-row normalization over the last axis with learned gain and bias.
 
     One graph node: the backward is the closed form of the normalization's
     Jacobian, dx = (g' - mean(g') - xhat * mean(g' * xhat)) / sigma with
-    g' = g * gain, instead of a chain of elementwise nodes.
+    g' = g * gain, instead of a chain of elementwise nodes. The forward
+    allocates only the centered rows (which become xhat), one scratch
+    array (which becomes the output) and the per-row statistics.
     """
     _check_same_dtype(x, gain, bias)
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    xhat = centered * inv
+    xhat = x.data - _row_mean(x.data)
+    out = np.multiply(xhat, xhat)
+    inv = _row_mean(out)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
     needs = (x.requires_grad, gain.requires_grad, bias.requires_grad)
 
     def backward(g):
         gx = None
         if needs[0]:
+            # one expression, not in-place steps: g is F-ordered after some
+            # matmul backwards, and gx keeps the memory order this gives it,
+            # on which the row sums of later `_unbroadcast` calls depend
             gh = g * gain.data
-            gx = inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+            gx = inv * (gh - _row_mean(gh) - xhat * _row_mean(gh * xhat))
         return (
             gx,
             _unbroadcast(g * xhat, gain.data.shape) if needs[1] else None,
             _unbroadcast(g, bias.data.shape) if needs[2] else None,
         )
 
-    return _make(xhat * gain.data + bias.data, (x, gain, bias), backward)
+    return _make(out, (x, gain, bias), backward)
+
+
+def attention(q, k, v, allowed):
+    """Scaled dot-product attention over the allowed keys, as one graph node.
+
+    q, k and v are (..., S, d); `allowed` is a 0/1 array that broadcasts
+    against the (..., S, S) scores, 1 where query i may read key j. Each
+    query's weights are the softmax of q k^T / sqrt(d) over its allowed
+    keys, and the output is those weights times v. A disallowed score is
+    set to -_NEG_BIG, whose exp underflows to exactly 0, so a key a query
+    cannot see gets weight 0 and its k and v rows get exactly 0 gradient
+    from that query.
+
+    The arithmetic is that of the elementwise chain scale, mask, fill and
+    `softmax` with the same products, so both passes give its bits.
+    """
+    _check_same_dtype(q, k, v)
+    qd, vd = q.data, v.data
+    kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+    scale = qd.dtype.type(1.0 / np.sqrt(qd.shape[-1]))
+    att = np.matmul(qd, kt)
+    att *= scale
+    np.copyto(att, qd.dtype.type(-_NEG_BIG), where=np.asarray(allowed) == 0)
+    att -= np.max(att, axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= np.sum(att, axis=-1, keepdims=True)
+    needs = (q.requires_grad, k.requires_grad, v.requires_grad)
+
+    def backward(g):
+        gv = np.matmul(np.swapaxes(att, -1, -2), g) if needs[2] else None
+        gq = gk = None
+        if needs[0] or needs[1]:
+            # a disallowed key has att == +0, so its score gradient is already
+            # the +-0 that multiplying by the 0/1 mask would give
+            gs = np.matmul(g, np.swapaxes(vd, -1, -2))
+            gs -= np.sum(gs * att, axis=-1, keepdims=True)
+            gs *= att
+            gs *= scale
+            if needs[0]:
+                gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
+            if needs[1]:
+                gk = np.ascontiguousarray(np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), gs), -1, -2))
+        return gq, gk, gv
+
+    return _make(np.matmul(att, vd), (q, k, v), backward)
+
+
+def _rotate_half(x):
+    """(-x2, x1) for x = (x1, x2), the two halves of the last axis."""
+    half = x.shape[-1] // 2
+    return np.concatenate([-x[..., half:], x[..., :half]], axis=-1)
+
+
+def rope(x, cos, sin):
+    """Rotary position embedding: x * cos + rotate_half(x) * sin, as one graph node.
+
+    x is (..., S, d) with d even; cos and sin are (S, d) arrays whose two
+    column halves repeat the per-pair angles, and rotate_half(x) is
+    (-x2, x1) for x = (x1, x2). The half swap is a slice, not a product
+    with a signed permutation matrix, which gives the same bits: each
+    output of that product is one +-1 term plus exact zeros.
+    """
+    out = x.data * cos
+    out += _rotate_half(x.data) * sin
+    # the rotation's transpose is its negative
+    return _make(out, (x,), lambda g: (g * cos - _rotate_half(g * sin),))
 
 
 def embedding_lookup(wte, ids):

@@ -273,6 +273,8 @@ def test_model_bad_tensors_rejected(tmp_path, edit, message):
         ({"n_layers": 10**12}, "lacks tensor 'blocks.1.ln1.gain'"),  # without building 10^13 specs
         ({"bidir_separate_wte": True}, "'bidir_separate_wte' .* must be false"),
         ({"bidir_separate_wte": 0}, "'bidir_separate_wte' .* must be false"),
+        ({"n_layers": -1}, "n_layers must be >= 0, got -1"),
+        ({"d_model": 0}, "d_model must be >= 1, got 0"),
     ],
 )
 def test_model_invalid_config_rejected(tmp_path, changes, message):

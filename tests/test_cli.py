@@ -375,24 +375,55 @@ def test_train_config_below_one_exit_1_names_field(tmp_path, corpus_file, capsys
     assert not (out / "model.ckpt").exists()
 
 
-COUNT_CASES = {  # command: (a count it cannot run, the error naming it, the artifact it must not write)
+COUNT_CASES = {  # case: (a count it cannot run, the error naming it, the artifact it must not write)
     "invert": (["--runs", "0"], "runs must be >= 1, got 0", "inversion.csv"),
     "retrieve-eval": (["--trials", "0"], "trials must be >= 1, got 0", "accuracy.csv"),
+    "retrieve-eval/sizes=1": (["--sizes", "32,1"], "sizes must be >= 2, got 1", "accuracy.csv"),
+    "retrieve-eval/sizes=0": (["--sizes", "0"], "sizes must be >= 2, got 0", "accuracy.csv"),
+    "retrieve-eval/sizes=-3": (["--sizes", "-3"], "sizes must be >= 2, got -3", "accuracy.csv"),
     "generate": (["--n-new", "-1"], "n_new must be >= 0, got -1", "generation.txt"),
 }
 
 
-@pytest.mark.parametrize("command", sorted(COUNT_CASES))
-def test_count_it_cannot_run_exit_1_names_value(tmp_path, capsys, command):
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_count_it_cannot_run_exit_1_names_value(tmp_path, capsys, case):
+    command = case.split("/")[0]
     pairs = tmp_path / "pairs.tsv"
     write_pairs(pairs, synthetic_pairs(24, np.random.default_rng(0)))
     ckpt = tmp_path / "in.ckpt"
     cfg = ModelConfig("masked_mixer", d_model=16, n_layers=1, n_ctx=16, vocab=259, padding_side="left")
     save_checkpoint(build_model(cfg, seed=0), ckpt)
-    count, message, artifact = COUNT_CASES[command]
+    count, message, artifact = COUNT_CASES[case]
     flags = [f.format(ckpt=ckpt, pairs=pairs) for f in CONTAINER_COMMANDS[command]]
     capsys.readouterr()
     out = tmp_path / "o"
     assert run_cli([command, *flags, *count, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / artifact).exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag,value,message",
+    [
+        ("train-clm", "--n-layers", "-1", "n_layers must be >= 0, got -1"),
+        ("train-clm", "--d-model", "0", "d_model must be >= 1, got 0"),
+        ("train-clm", "--d-model", "-4", "d_model must be >= 1, got -4"),
+        ("train-retrieval-indirect", "--pca-dim", "-2", "pca_dim must be >= 1, got -2"),
+        ("train-retrieval-indirect", "--pca-dim", "0", "pca_dim must be >= 1, got 0"),
+    ],
+)
+def test_model_size_it_cannot_run_exit_1_names_field(tmp_path, corpus_file, capsys, command, flag, value, message):
+    if command == "train-clm":
+        argv = [command, "--corpus", str(corpus_file), "--steps", "1", "--d-model", "16", "--n-layers", "1", "--n-ctx", "8"]
+        artifact = "model.ckpt"
+    else:
+        store = tmp_path / "in.ckpt"
+        rng = np.random.default_rng(1)
+        save_embedding_store(EmbeddingStore(queries=rng.normal(size=(24, 8)), targets=rng.normal(size=(24, 8))), store)
+        argv = [command, "--embeddings", str(store), "--steps", "1", "--candidates", "4"]
+        artifact = "retrieval-model.ckpt"
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run_cli([*argv, flag, value, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / artifact).exists()

@@ -146,16 +146,25 @@ def test_single_head_transformer_matches_concatenated_projection():
     assert np.array_equal(ref, again)
 
 
+def _rope_by_rotation_matrix(x, cos, sin):
+    """Reference RoPE: x * cos + (x @ rot) * sin, rot the signed permutation taking (x1, x2) to (-x2, x1)."""
+    half = x.shape[-1] // 2
+    rot = np.zeros((2 * half, 2 * half))
+    rot[half:, :half] = -np.eye(half)
+    rot[:half, half:] = np.eye(half)
+    return T.add(T.mul(x, Tensor(cos)), T.mul(T.matmul(x, Tensor(rot.astype(x.dtype))), Tensor(sin)))
+
+
 def _per_head_attention(params, prefix, h, cfg, allowed, rope):
-    """Reference attention: one narrow, score product, mask and softmax per head, then concat."""
+    """Reference attention: one narrow, RoPE, score product, mask and softmax per head, then concat."""
     d_head = cfg.d_model // cfg.n_heads
     m = Tensor(allowed.astype(h.dtype))
     fill = Tensor(((1.0 - allowed) * -T._NEG_BIG).astype(h.dtype))
     q, k, v = (T.matmul(h, params[prefix + w]) for w in ("wq", "wk", "wv"))
     outs = []
     for j in range(cfg.n_heads):
-        qh = models._rope(T.narrow(q, -1, j * d_head, d_head), rope)
-        kh = models._rope(T.narrow(k, -1, j * d_head, d_head), rope)
+        qh = _rope_by_rotation_matrix(T.narrow(q, -1, j * d_head, d_head), *rope)
+        kh = _rope_by_rotation_matrix(T.narrow(k, -1, j * d_head, d_head), *rope)
         vh = T.narrow(v, -1, j * d_head, d_head)
         scores = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(d_head))
         att = T.softmax(T.add(T.mul(scores, m), fill), axis=-1)
@@ -420,6 +429,18 @@ def test_config_validation():
         ModelConfig("mlp", 8, 1, 4)
     with pytest.raises(ValueError, match="combined"):
         tiny(expansion=2, n_heads=2)
+    with pytest.raises(ValueError, match="d_model must be >= 1, got 0"):
+        tiny(d_model=0)
+    with pytest.raises(ValueError, match="d_model must be >= 1, got -4"):
+        tiny(d_model=-4)
+    with pytest.raises(ValueError, match="n_layers must be >= 0, got -1"):
+        tiny(n_layers=-1)
+
+
+def test_zero_layers_is_the_final_norm_alone():
+    model = build_model(tiny(n_layers=0), seed=31, dtype=CHECK64)
+    logits, hiddens = forward(model, np.arange(8))
+    assert logits.shape == (8, 259) and len(hiddens) == 2
 
 
 def test_count_params_positive_and_deterministic():

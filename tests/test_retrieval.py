@@ -14,6 +14,7 @@ from mixerlab.retrieval import (
     embed_corpus,
     eval_topk_accuracy,
     infonce_loss,
+    pca_project,
     retrieve_topk,
     sample_retrieval_batch,
     _others,
@@ -349,6 +350,21 @@ def test_eval_topk_skips_oversized_n():
     store = toy_store(n=10)
     rows = eval_topk_accuracy(store, [8, 64], trials=10, rng=np.random.default_rng(21))
     assert [r[0] for r in rows] == [8]
+
+
+@pytest.mark.parametrize("sizes,first", [([1], 1), ([8, 0, -3], 0), ([-3, 8], -3)])
+def test_eval_topk_rejects_size_below_two_before_any_draw(sizes, first):
+    rng = np.random.default_rng(22)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^sizes must be >= 2, got {first}$"):
+        eval_topk_accuracy(toy_store(n=10), sizes, trials=10, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("dim", [0, -2])
+def test_pca_project_rejects_dim_below_one(dim):
+    with pytest.raises(ValueError, match=f"^pca_dim must be >= 1, got {dim}$"):
+        pca_project(toy_store(), dim=dim)
 
 
 def test_eval_topk_monotone_for_random_embedder():

@@ -289,6 +289,140 @@ def test_layer_norm_grad():
     assert grad_check(f, t64(rng.normal(size=(4, 6)), requires_grad=True)) <= 1e-6
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_layer_norm_matches_mean_formula_bit_for_bit_in_float32(order):
+    # an F-ordered upstream gradient is what matmul's (y @ g.T).T orientation hands back
+    rng = np.random.default_rng(12)
+    x0, gain0, bias0 = (rng.normal(size=s).astype(np.float32) for s in ((32, 96), 96, 96))
+    g = np.asarray(rng.normal(size=(32, 96)).astype(np.float32), order=order)
+    centered = x0 - x0.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = centered * inv
+    gh = g * gain0
+    want_gx = inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    x, gain, bias = Tensor(x0, True), Tensor(gain0, True), Tensor(bias0, True)
+    out = T.layer_norm(x, gain, bias)
+    gx, ggain, gbias = out._backward(g)
+    assert out.data.tobytes() == (xhat * gain0 + bias0).tobytes()
+    assert gx.tobytes(order="A") == want_gx.tobytes(order="A") and gx.flags.c_contiguous == want_gx.flags.c_contiguous
+    assert ggain.tobytes() == (g * xhat).sum(axis=0).tobytes() and gbias.tobytes() == g.sum(axis=0).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# attention and rope, each one node, against the elementwise chains they replace
+
+def attention_chain(q, k, v, allowed):
+    """Oracle: scores, scale, 0/1 mask multiply, fill add and `softmax` as separate nodes, then values."""
+    m = Tensor(allowed.astype(q.dtype))
+    fill = Tensor(((1.0 - allowed) * -T._NEG_BIG).astype(q.dtype))
+    scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
+    return T.matmul(T.softmax(T.add(T.mul(scores, m), fill), axis=-1), v)
+
+
+def rope_chain(x, cos, sin):
+    """Oracle: x * cos + (x @ rot) * sin, rot the signed permutation taking (x1, x2) to (-x2, x1)."""
+    half = x.shape[-1] // 2
+    rot = np.zeros((2 * half, 2 * half))
+    rot[half:, :half] = -np.eye(half)
+    rot[:half, half:] = np.eye(half)
+    return T.add(T.mul(x, Tensor(cos)), T.mul(T.matmul(x, Tensor(rot.astype(x.dtype))), Tensor(sin)))
+
+
+def causal_pad_mask(batch, s):
+    """(batch, 1, s, s) 0/1 mask: causal, the last sequence's final two keys are pads, self always kept."""
+    keep = np.ones((batch, s))
+    keep[-1, -2:] = 0.0
+    return (np.tril(np.ones((s, s))) * np.maximum(keep[:, None, :], np.eye(s)))[:, None]
+
+
+def rope_tables(s, d, dtype):
+    angles = np.outer(np.arange(s), 10000.0 ** (-np.arange(d // 2) / (d // 2)))
+    return (np.tile(np.cos(angles), 2).astype(dtype), np.tile(np.sin(angles), 2).astype(dtype))
+
+
+def outputs_and_grads(op, inputs, probe):
+    """op's output and the gradients of sum(output * probe) to every input."""
+    for t in inputs:
+        t.grad = None
+    out = op(*inputs)
+    backward(T.tsum(T.mul(out, Tensor(probe))))
+    return [out.data] + [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("wrt", [0, 1, 2])
+def test_attention_grad_matches_finite_differences(wrt):
+    rng = np.random.default_rng(20 + wrt)
+    qkv = [t64(rng.normal(size=(2, 3, 5, 4))) for _ in range(3)]
+    allowed = causal_pad_mask(2, 5)
+    probe = t64(rng.normal(size=(2, 3, 5, 4)))
+
+    def f(x):
+        args = list(qkv)
+        args[wrt] = x
+        return T.tsum(T.mul(T.attention(*args, allowed), probe))
+
+    assert grad_check(f, t64(qkv[wrt].data.copy(), requires_grad=True)) <= 1e-6
+
+
+def test_rope_grad_matches_finite_differences():
+    rng = np.random.default_rng(23)
+    cos, sin = rope_tables(5, 6, np.float64)
+    probe = t64(rng.normal(size=(2, 3, 5, 6)))
+    x = t64(rng.normal(size=(2, 3, 5, 6)), requires_grad=True)
+    assert grad_check(lambda x: T.tsum(T.mul(T.rope(x, cos, sin), probe)), x) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "dtype,shape",
+    [
+        (np.float64, (2, 3, 5, 6)),
+        # the inversion workload's shape: d256 as 4 heads of 64, one 32-token sequence
+        (np.float32, (4, 32, 64)),
+        # a padded batch whose 1/sqrt(d) is not a power of two
+        (np.float32, (2, 3, 16, 24)),
+    ],
+)
+def test_attention_and_rope_match_their_chains(dtype, shape):
+    """Within 1e-12 in float64, and bit for bit in float32."""
+    rng = np.random.default_rng(25)
+    s, d = shape[-2:]
+    allowed = causal_pad_mask(shape[0], s) if len(shape) == 4 else np.tril(np.ones((s, s)))[None]
+    cos, sin = rope_tables(s, d, dtype)
+    probe = rng.normal(size=shape).astype(dtype)
+    pairs = [
+        (lambda q, k, v: T.attention(q, k, v, allowed), lambda q, k, v: attention_chain(q, k, v, allowed), 3),
+        (lambda x: T.rope(x, cos, sin), lambda x: rope_chain(x, cos, sin), 1),
+    ]
+    for op, chain, arity in pairs:
+        inputs = [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True) for _ in range(arity)]
+        for got, want in zip(outputs_and_grads(op, inputs, probe), outputs_and_grads(chain, inputs, probe)):
+            assert got.dtype == dtype
+            if dtype == np.float64:
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
+def test_attention_hidden_key_gets_zero_weight_and_zero_grad():
+    rng = np.random.default_rng(26)
+    s = 6
+    allowed = causal_pad_mask(2, s)
+    q = t64(rng.normal(size=(2, 1, s, s)), requires_grad=True)
+    k = t64(rng.normal(size=(2, 1, s, s)), requires_grad=True)
+    v = t64(np.broadcast_to(np.eye(s), (2, 1, s, s)).copy(), requires_grad=True)
+    weights = T.attention(q, k, v, allowed)  # v = I, so the output rows are the weights
+    assert np.all(weights.data[allowed == 0] == 0.0)
+    for i in range(s):
+        hidden = allowed[:, 0, i] == 0  # (batch, key): keys query i cannot see
+        probe = np.zeros((2, 1, s, s))
+        probe[:, :, i] = rng.normal(size=(2, 1, s))  # the loss reads query i only
+        for t in (q, k, v):
+            t.grad = None
+        backward(T.tsum(T.mul(T.attention(q, k, v, allowed), t64(probe))))
+        assert np.all(k.grad[:, 0][hidden] == 0.0) and np.all(v.grad[:, 0][hidden] == 0.0)
+        assert np.any(v.grad[:, 0][~hidden] != 0.0)
+
+
 def test_embedding_lookup_grad_scatters():
     rng = np.random.default_rng(9)
     wte = t64(rng.normal(size=(5, 7)), requires_grad=True)
