@@ -331,9 +331,7 @@ def _run_stack(model, prefix, e, mask_dir, ids=None, layer=-1, rows=None):
         x = T.add(x, mixed)
         if rows is not None and i == cfg.n_layers - 1:
             x = _rows_at(x, rows)
-        h2 = T.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
-        ff = T.matmul(T.gelu(T.add(T.matmul(h2, params[p + "ff.w1"]), params[p + "ff.b1"])), params[p + "ff.w2"])
-        x = T.add(x, T.add(ff, params[p + "ff.b2"]))
+        x = T.feed_forward(x, *(params[p + n] for n in ("ln2.gain", "ln2.bias", "ff.w1", "ff.b1", "ff.w2", "ff.b2")))
         hiddens.append(x)
     if rows is not None and cfg.n_layers == 0:
         x = _rows_at(x, rows)

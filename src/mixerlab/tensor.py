@@ -26,6 +26,8 @@ _NEG_BIG = 1e30  # additive mask constant; exp(-1e30 - anything sane) underflows
 
 PINV_RCOND = 1e-10  # pinv zeroes singular values below PINV_RCOND * sigma_max
 
+LN_EPS = 1e-5  # added to each row's variance by layer_norm and feed_forward
+
 _creation_counter = itertools.count()
 
 _local = threading.local()  # graphs are thread-confined; so is the grad switch
@@ -268,6 +270,32 @@ def _erf_f32(z, out):
     return np.divide(p, q, out=out)
 
 
+def _gelu_phi(x):
+    """0.5 * (1 + erf(x * sqrt(1/2))), GELU's gate, in x's dtype: GELU(x) is x * phi."""
+    phi = x * x.dtype.type(np.sqrt(0.5))
+    if x.dtype == np.float32:
+        _erf_f32(phi, out=phi)
+    else:
+        from scipy.special import erf
+
+        erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    return phi
+
+
+def _gelu_grad(x, phi, g):
+    """g * GELU'(x), with phi = `_gelu_phi(x)`; allocates only its output."""
+    d = x * x
+    d *= -0.5
+    np.exp(d, out=d)
+    d *= x.dtype.type(1.0 / np.sqrt(2.0 * np.pi))
+    d *= x
+    d += phi
+    d *= g
+    return d
+
+
 def gelu(a):
     """Gaussian-error-linear unit, erf form: x * 0.5 * (1 + erf(x * sqrt(1/2))).
 
@@ -280,27 +308,8 @@ def gelu(a):
     temporaries), the backward only its output.
     """
     x = a.data
-    phi = x * x.dtype.type(np.sqrt(0.5))
-    if x.dtype == np.float32:
-        _erf_f32(phi, out=phi)
-    else:
-        from scipy.special import erf
-
-        erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
-
-    def backward(g):
-        d = x * x
-        d *= -0.5
-        np.exp(d, out=d)
-        d *= x.dtype.type(1.0 / np.sqrt(2.0 * np.pi))
-        d *= x
-        d += phi
-        d *= g
-        return (d,)
-
-    return _make(x * phi, (a,), backward)
+    phi = _gelu_phi(x)
+    return _make(x * phi, (a,), lambda g: (_gelu_grad(x, phi, g),))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +371,7 @@ def matmul(a, b):
             g2 = g.reshape(-1, y.shape[1])
             ga = gb = None
             if needs[0]:
-                ga = (g2 @ y.T if len(g2) >= len(y) else (y @ g2.T).T).reshape(x.shape)
+                ga = _flat_input_grad(g2, y, x.shape)
             if needs[1]:
                 gb = rows.T @ g2
             return ga, gb
@@ -375,6 +384,11 @@ def matmul(a, b):
         return ga, gb
 
     return _make(np.matmul(x, y), (a, b), backward)
+
+
+def _flat_input_grad(g2, y, shape):
+    """g2 @ y.T reshaped to `shape`: the input gradient of a flat product rows @ y (see `matmul`)."""
+    return (g2 @ y.T if len(g2) >= len(y) else (y @ g2.T).T).reshape(shape)
 
 
 def swapaxes(a, axis1, axis2):
@@ -496,7 +510,37 @@ def _row_mean(a):
     return s
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def _layer_norm_fwd(x, gain, bias, eps):
+    """(output, xhat, 1/sigma) of layer_norm on arrays; allocates only those and the row means."""
+    xhat = x - _row_mean(x)
+    out = np.multiply(xhat, xhat)
+    inv = _row_mean(out)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += bias
+    return out, xhat, inv
+
+
+def _layer_norm_grads(g, gain, bias, xhat, inv, needs):
+    """Gradients of layer_norm's (x, gain, bias) from its output gradient g; None where not `needs`."""
+    gx = None
+    if needs[0]:
+        # one expression, not in-place steps: g is F-ordered after some
+        # matmul backwards, and gx keeps the memory order this gives it,
+        # on which the row sums of later `_unbroadcast` calls depend
+        gh = g * gain.data
+        gx = inv * (gh - _row_mean(gh) - xhat * _row_mean(gh * xhat))
+    return (
+        gx,
+        _unbroadcast(g * xhat, gain.data.shape) if needs[1] else None,
+        _unbroadcast(g, bias.data.shape) if needs[2] else None,
+    )
+
+
+def layer_norm(x, gain, bias, eps=LN_EPS):
     """Per-row normalization over the last axis with learned gain and bias.
 
     One graph node: the backward is the closed form of the normalization's
@@ -506,32 +550,60 @@ def layer_norm(x, gain, bias, eps=1e-5):
     array (which becomes the output) and the per-row statistics.
     """
     _check_same_dtype(x, gain, bias)
-    xhat = x.data - _row_mean(x.data)
-    out = np.multiply(xhat, xhat)
-    inv = _row_mean(out)
-    inv += eps
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    xhat *= inv
-    np.multiply(xhat, gain.data, out=out)
-    out += bias.data
+    out, xhat, inv = _layer_norm_fwd(x.data, gain.data, bias.data, eps)
     needs = (x.requires_grad, gain.requires_grad, bias.requires_grad)
+    return _make(out, (x, gain, bias), lambda g: _layer_norm_grads(g, gain, bias, xhat, inv, needs))
+
+
+def feed_forward(x, gain, bias, w1, b1, w2, b2):
+    """Pre-norm feed-forward sublayer with its residual, as one graph node.
+
+    x + (gelu(layer_norm(x, gain, bias) @ w1 + b1) @ w2 + b2), for x of
+    shape (..., S, d), w1 (d, h) and w2 (h, d). Both passes run the kernels
+    of the seven-node chain `layer_norm`, `matmul`, `add`, `gelu`,
+    `matmul`, `add`, `add` in its order, with the adds in place, so the
+    output and every gradient keep the chain's bits. The x gradient is the
+    residual's g plus the norm's: `backward` sums the chain's two flows
+    into x in that order.
+    """
+    _check_same_dtype(x, gain, bias, w1, b1, w2, b2)
+    d, hidden = x.data.shape[-1], w1.data.shape[-1]
+    if (w1.data.shape, b1.data.shape, w2.data.shape, b2.data.shape) != ((d, hidden), (hidden,), (hidden, d), (d,)):
+        raise ShapeError(
+            f"feed_forward shapes do not chain: x {x.data.shape}, w1 {w1.data.shape}, b1 {b1.data.shape}, "
+            f"w2 {w2.data.shape}, b2 {b2.data.shape}"
+        )
+    h, xhat, inv = _layer_norm_fwd(x.data, gain.data, bias.data, LN_EPS)
+    rows = h.reshape(-1, d)
+    z = (rows @ w1.data).reshape(x.data.shape[:-1] + (hidden,))
+    z += b1.data
+    phi = _gelu_phi(z)
+    u = (z * phi).reshape(-1, hidden)
+    out = (u @ w2.data).reshape(x.data.shape)
+    out += b2.data
+    out += x.data
+    needs = tuple(t.requires_grad for t in (x, gain, bias, w1, b1, w2, b2))
 
     def backward(g):
-        gx = None
-        if needs[0]:
-            # one expression, not in-place steps: g is F-ordered after some
-            # matmul backwards, and gx keeps the memory order this gives it,
-            # on which the row sums of later `_unbroadcast` calls depend
-            gh = g * gain.data
-            gx = inv * (gh - _row_mean(gh) - xhat * _row_mean(gh * xhat))
+        g2 = g.reshape(-1, d)
+        gx = ggain = gbias = gw1 = gb1 = None
+        if any(needs[:5]):
+            dz = _gelu_grad(z, phi, _flat_input_grad(g2, w2.data, z.shape))
+            dz2 = dz.reshape(-1, hidden)
+            gb1 = _unbroadcast(dz, b1.data.shape) if needs[4] else None
+            gw1 = rows.T @ dz2 if needs[3] else None
+            if any(needs[:3]):
+                gh = _flat_input_grad(dz2, w1.data, h.shape)
+                gx, ggain, gbias = _layer_norm_grads(gh, gain, bias, xhat, inv, needs)
+                if needs[0]:
+                    gx = g + gx
         return (
-            gx,
-            _unbroadcast(g * xhat, gain.data.shape) if needs[1] else None,
-            _unbroadcast(g, bias.data.shape) if needs[2] else None,
+            gx, ggain, gbias, gw1, gb1,
+            u.T @ g2 if needs[5] else None,
+            _unbroadcast(g, b2.data.shape) if needs[6] else None,
         )
 
-    return _make(out, (x, gain, bias), backward)
+    return _make(out, (x, gain, bias, w1, b1, w2, b2), backward)
 
 
 def attention(q, k, v, allowed):

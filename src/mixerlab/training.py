@@ -85,10 +85,14 @@ class TrainReport:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised on a non-finite loss or parameter; the model is restored to the last eval point."""
+    """Raised on a non-finite loss or parameter; the model is restored to the last eval point.
 
-    def __init__(self, step, report):
-        super().__init__(f"training diverged at step {step}; model restored to the last eval-point state")
+    `cause` says what went non-finite: "non-finite loss", or "non-finite
+    parameter NAME" for the first such parameter in the model's order.
+    """
+
+    def __init__(self, step, report, cause):
+        super().__init__(f"training diverged at step {step}: {cause}; model restored to the last eval-point state")
         self.step = step
         self.report = report
 
@@ -118,22 +122,38 @@ def adamw_state(model):
 
 
 def adamw_step(params, grads, state, cfg, step, lr_t):
-    """Decoupled-weight-decay Adam update; `step` is 1-based for bias correction."""
+    """Decoupled-weight-decay Adam update; `step` is 1-based for bias correction.
+
+    m and v are updated in place, and each parameter's update runs in two
+    scratch arrays. `p.data` is rebound to a new array, never written into,
+    so a snapshot that holds the old array keeps its values.
+    """
     b1, b2 = ADAM_BETAS
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             continue
-        s = state[name]
-        s["m"] = b1 * s["m"] + (1.0 - b1) * g
-        s["v"] = b2 * s["v"] + (1.0 - b2) * (g * g)
-        m_hat = s["m"] / (1.0 - b1**step)
-        v_hat = s["v"] / (1.0 - b2**step)
-        p.data = p.data - lr_t * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + cfg.weight_decay * p.data)
+        m, v = state[name]["m"], state[name]["v"]
+        t = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += t
+        np.multiply(g, g, out=t)
+        t *= 1.0 - b2
+        v *= b2
+        v += t
+        u = np.divide(v, 1.0 - b2**step)  # v_hat
+        np.sqrt(u, out=u)
+        u += ADAM_EPS
+        np.divide(m, 1.0 - b1**step, out=t)  # m_hat
+        t /= u
+        np.multiply(p.data, cfg.weight_decay, out=u)
+        t += u
+        t *= lr_t
+        p.data = p.data - t
 
 
 def clip_global_norm(grads, max_norm):
-    total = np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()))
+    total = np.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64))) for g in grads.values()))
     if total > max_norm and total > 0:
         scale = max_norm / total  # applied in each grad's own dtype
         for name in grads:
@@ -276,10 +296,10 @@ def _run_steps(model, cfg, lr_at, step_loss, eval_loss, tokens_per_step, first_l
             save_fn(model, f"step{step:06d}")
         return {name: p.data.copy() for name, p in model.params.items()}
 
-    def diverged(step):
+    def diverged(step, cause):
         for name, p in model.params.items():
             p.data = last_good[name]
-        return TrainingDiverged(step, report)
+        return TrainingDiverged(step, report, cause)
 
     last_good = record(0, first_loss)
     since_eval = []
@@ -287,7 +307,7 @@ def _run_steps(model, cfg, lr_at, step_loss, eval_loss, tokens_per_step, first_l
         loss = step_loss()
         loss_val = loss.item()
         if not np.isfinite(loss_val):
-            raise diverged(step)
+            raise diverged(step, "non-finite loss")
         backward(loss)
         grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
         if cfg.grad_clip is not None:
@@ -298,8 +318,9 @@ def _run_steps(model, cfg, lr_at, step_loss, eval_loss, tokens_per_step, first_l
         since_eval.append(loss_val)
         report.step_losses.append((step + 1, loss_val, lr_at(step), (step + 1) * tokens_per_step))
         if (step + 1) % cfg.eval_every == 0 or step + 1 == cfg.steps:
-            if not all(np.isfinite(p.data).all() for p in model.params.values()):
-                raise diverged(step)
+            bad = next((name for name, p in model.params.items() if not np.isfinite(p.data).all()), None)
+            if bad is not None:
+                raise diverged(step, f"non-finite parameter {bad}")
             last_good = record(step + 1, np.mean(since_eval))
             since_eval = []
     return report

@@ -136,15 +136,15 @@ def test_batched_embedding_prunes_last_block_to_one_row(monkeypatch, family):
     model = build_model(cfg, seed=11)
     ids = random_padded_ids(np.random.default_rng(12), cfg.n_ctx, 5, "right")
     shapes = []
-    gelu = T.gelu
+    feed_forward = T.feed_forward
 
-    def probe(x):
+    def probe(x, *params):
         shapes.append(x.data.shape)
-        return gelu(x)
+        return feed_forward(x, *params)
 
-    monkeypatch.setattr(T, "gelu", probe)
+    monkeypatch.setattr(T, "feed_forward", probe)
     sequence_embedding(model, ids)
-    assert shapes == [(5, cfg.n_ctx, 4 * cfg.d_model), (5, 1, 4 * cfg.d_model)]
+    assert shapes == [(5, cfg.n_ctx, cfg.d_model), (5, 1, cfg.d_model)]
 
 
 @pytest.mark.parametrize("family", ["masked_mixer", "transformer"])

@@ -8,7 +8,9 @@ from scipy.special import erf
 from scipy.stats import chisquare
 
 from mixerlab import tensor as T
+from mixerlab.models import ModelConfig, build_model
 from mixerlab.tensor import Tensor, backward, grad_check, multinomial_sample, pinv
+from mixerlab.training import TrainConfig, batch_loss
 
 
 def t64(data, requires_grad=False):
@@ -421,6 +423,84 @@ def test_attention_hidden_key_gets_zero_weight_and_zero_grad():
         backward(T.tsum(T.mul(T.attention(q, k, v, allowed), t64(probe))))
         assert np.all(k.grad[:, 0][hidden] == 0.0) and np.all(v.grad[:, 0][hidden] == 0.0)
         assert np.any(v.grad[:, 0][~hidden] != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the pre-norm feed-forward sublayer, one node, against the chain it replaces
+
+def feed_forward_chain(x, gain, bias, w1, b1, w2, b2):
+    """Oracle: layer_norm, matmul, bias add, gelu, matmul, bias add and residual add as separate nodes."""
+    ff = T.matmul(T.gelu(T.add(T.matmul(T.layer_norm(x, gain, bias), w1), b1)), w2)
+    return T.add(x, T.add(ff, b2))
+
+
+def feed_forward_inputs(rng, shape, dtype):
+    d = shape[-1]
+    x = rng.normal(size=shape)
+    if len(shape) == 3 and shape[1] > 1:
+        x[-1, -2:] = x[-1, -3]  # the last sequence ends in two copies of one pad row
+    arrays = [x, 1.0 + 0.1 * rng.normal(size=d), 0.1 * rng.normal(size=d), rng.normal(size=(d, 4 * d)) / np.sqrt(d),
+              0.1 * rng.normal(size=4 * d), rng.normal(size=(4 * d, d)) / np.sqrt(4 * d), 0.1 * rng.normal(size=d)]
+    return [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+
+
+@pytest.mark.parametrize("shape", [(32, 256), (3, 7, 24), (5, 1, 16)])
+def test_feed_forward_matches_its_chain_bit_for_bit_in_float32(shape):
+    """Output and all seven gradients, with an F-ordered upstream gradient as the models give it."""
+    rng = np.random.default_rng(27)
+    inputs = feed_forward_inputs(rng, shape, np.float32)
+    # a head with more input rows than the block output has flat rows takes
+    # matmul's (y @ g.T).T orientation, so its gradient reaches the node F-ordered
+    head = Tensor(rng.normal(size=(shape[-1], 3)).astype(np.float32))
+    probe = rng.normal(size=shape[:-1] + (3,)).astype(np.float32)
+    upstream = T.matmul(inputs[0], head)._backward(probe)[0]
+    assert upstream.flags.f_contiguous or not upstream.flags.c_contiguous
+    got = outputs_and_grads(lambda *a: T.matmul(T.feed_forward(*a), head), inputs, probe)
+    want = outputs_and_grads(lambda *a: T.matmul(feed_forward_chain(*a), head), inputs, probe)
+    assert T.feed_forward(*inputs).data.tobytes() == feed_forward_chain(*inputs).data.tobytes()
+    for g, w in zip(got, want):
+        assert g.dtype == np.float32 and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("wrt", range(7))
+def test_feed_forward_grad_matches_finite_differences(wrt):
+    rng = np.random.default_rng(28 + wrt)
+    inputs = feed_forward_inputs(rng, (2, 3, 4), np.float64)
+    probe = t64(rng.normal(size=(2, 3, 4)))
+
+    def f(t):
+        args = list(inputs)
+        args[wrt] = t
+        return T.tsum(T.mul(T.feed_forward(*args), probe))
+
+    assert grad_check(f, t64(inputs[wrt].data.copy(), requires_grad=True)) <= 1e-6
+
+
+def test_feed_forward_rejects_shapes_that_do_not_chain():
+    x, gain, bias, w1, b1, w2, b2 = feed_forward_inputs(np.random.default_rng(29), (2, 3, 4), np.float64)
+    with pytest.raises(T.ShapeError, match=r"w2 \(16, 3\)"):
+        T.feed_forward(x, gain, bias, w1, b1, t64(np.zeros((16, 3))), b2)
+
+
+def graph_nodes(loss):
+    """Graph nodes a backward from `loss` visits."""
+    seen, todo, nodes = set(), [loss], 0
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            nodes += 1
+            todo.extend(node._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("family,nodes", [("masked_mixer", 14), ("transformer", 42)])
+def test_clm_backward_graph_nodes(family, nodes):
+    """One CLM step visits one node per block op: the feed-forward sublayer is one of them."""
+    model = build_model(ModelConfig(family, d_model=64, n_layers=2, n_ctx=22, n_heads=1 if family == "masked_mixer" else 4))
+    ids = np.random.default_rng(30).integers(0, 256, size=(4, 22))
+    assert graph_nodes(batch_loss(model, ids, TrainConfig(objective="clm"))) == nodes
 
 
 def test_embedding_lookup_grad_scatters():

@@ -174,6 +174,26 @@ def test_nan_loss_aborts_with_last_good_state():
         assert np.array_equal(p.data, before[n])
 
 
+def test_divergence_names_a_non_finite_loss():
+    model = build_model(mixer_cfg(), seed=5)
+    # an infinite rate makes every parameter non-finite at step 0, so step 1's loss is NaN
+    cfg = TrainConfig(objective="clm", steps=5, batch_size=8, lr=np.inf, eval_every=100, seed=0)
+    with pytest.raises(TrainingDiverged, match="at step 1: non-finite loss;"), np.errstate(all="ignore"):
+        train(model, repeated_corpus(), cfg)
+
+
+def test_divergence_names_the_first_non_finite_parameter():
+    model = build_model(mixer_cfg(), seed=5)
+    before = {n: p.data.copy() for n, p in model.params.items()}
+    for name, p in model.params.items():
+        p.requires_grad = name in ("blocks.1.ff.b2", "lm_head")  # lm_head comes later in the model's order
+    cfg = TrainConfig(objective="clm", steps=5, batch_size=8, lr=np.inf, eval_every=1, seed=0)
+    with pytest.raises(TrainingDiverged, match="at step 0: non-finite parameter blocks.1.ff.b2;"), np.errstate(all="ignore"):
+        train(model, repeated_corpus(), cfg)
+    for n, p in model.params.items():
+        assert np.array_equal(p.data, before[n]), n
+
+
 # ---------------------------------------------------------------------------
 # multi-token
 
