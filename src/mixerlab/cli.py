@@ -68,7 +68,7 @@ def _add_train_flags(p):
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--eval-every", type=int, default=50)
     p.add_argument("--split-ratio", type=float, default=0.9)
-    p.add_argument("--grad-clip", type=float, default=1.0)
+    p.add_argument("--grad-clip", type=float, default=1.0, help="global gradient-norm bound; 0 disables clipping")
 
 
 def build_parser():
@@ -189,7 +189,7 @@ def _run_training(args):
         eval_every=args.eval_every,
         multi_m=getattr(args, "m", 1),
         prefix_len=getattr(args, "prefix_len", None),
-        grad_clip=args.grad_clip if args.grad_clip > 0 else None,
+        grad_clip=None if args.grad_clip == 0 else args.grad_clip,
     )
     ckpt_dir = args.out / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)

@@ -197,7 +197,7 @@ def normalize_store(store, holdout, dim=16):
 # candidate-set sampling
 
 def _others(size, n, count, rng):
-    """`count` distinct indices drawn uniformly from range(size), never n.
+    """An int64 array of `count` distinct indices drawn uniformly from range(size), never n.
 
     A uniform draw of distinct indices from range(size - 1), with those at
     or above n shifted up by one, maps one-to-one onto the draws from
@@ -205,7 +205,7 @@ def _others(size, n, count, rng):
     """
     r = rng.choice(size - 1, count, replace=False)
     r[r >= n] += 1
-    return r.tolist()
+    return r
 
 
 def sample_retrieval_batch(store, n, c, rng):
@@ -230,7 +230,7 @@ def sample_retrieval_batch(store, n, c, rng):
 
 def sample_sequence_batch(target_seqs, n, count, rng):
     """Token-level analogue: `count` negative target sequences for pair n."""
-    return [target_seqs[j] for j in _others(len(target_seqs), n, count, rng)]
+    return [target_seqs[j] for j in _others(len(target_seqs), n, count, rng).tolist()]
 
 
 # ---------------------------------------------------------------------------

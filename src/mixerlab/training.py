@@ -9,6 +9,7 @@ averages per token, so inserting pad-only sequences never moves the loss.
 
 import csv
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -61,6 +62,8 @@ class TrainConfig:
         _check_positive(self, "steps", "batch_size", "eval_every")
         if self.multi_m < 1 or self.multi_m > 4:
             raise ValueError("multi-token width must lie in [1, 4]")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be > 0 (None disables clipping), got {self.grad_clip}")
 
     def lr_at(self, step_index, lr0):
         return lr0 * (1.0 - step_index / self.steps)
@@ -114,26 +117,86 @@ def write_metrics_csv(path, report):
 # ---------------------------------------------------------------------------
 # optimizer
 
+class AdamWState(dict):
+    """AdamW's moments in two flat buffers, `m` and `v`, one entry per parameter value.
+
+    Parameters are laid out in the model's order; `span[name]` is parameter
+    `name`'s (start, stop) in both buffers, and `state[name]["m"]` and
+    `state[name]["v"]` are views of that span shaped like the parameter.
+    `last_values` holds, per run of parameters (see `adamw_step`), the flat
+    array the last step's parameter values are views of.
+    """
+
+    def __init__(self, params):
+        super().__init__()
+        dtypes = {p.data.dtype for p in params.values()}
+        if len(dtypes) > 1:
+            raise ValueError(f"AdamW needs one parameter dtype, got {sorted(map(str, dtypes))}")
+        self.span, size = {}, 0
+        for name, p in params.items():
+            self.span[name] = (size, size + p.data.size)
+            size += p.data.size
+        dtype = dtypes.pop() if dtypes else np.float32
+        self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
+        for name, (a, b) in self.span.items():
+            shape = params[name].data.shape
+            self[name] = {"m": self.m[a:b].reshape(shape), "v": self.v[a:b].reshape(shape)}
+        self.last_values = {}
+
+
+class _FlatGrads(dict):
+    """Gradients gathered into one flat array per run of names.
+
+    A run is a maximal run of consecutive names of `order` whose gradients
+    are given and share one dtype. Each entry is a view of its run's array,
+    shaped like the gradient, so scaling a run's array in place scales its
+    entries. `runs` lists (names, array) in order.
+    """
+
+    def __init__(self, order, grads):
+        super().__init__()
+        self.runs = []
+        # keyed by dtype string: a numpy dtype compares equal to None
+        for dtype, names in groupby(order, lambda n: None if grads.get(n) is None else grads[n].dtype.str):
+            if dtype is None:
+                continue
+            names = list(names)
+            flat = np.concatenate([grads[n] for n in names], axis=None)
+            start = 0
+            for n in names:
+                self[n] = flat[start:start + grads[n].size].reshape(grads[n].shape)
+                start += grads[n].size
+            self.runs.append((names, flat))
+
+
 def adamw_state(model):
-    return {
-        name: {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
-        for name, p in model.params.items()
-    }
+    return AdamWState(model.params)
+
+
+def _flat_values(params, names, state):
+    """One flat array of the values of `names`: the last step's array when they are still its views."""
+    key = (state.span[names[0]][0], state.span[names[-1]][1])
+    flat, views = state.last_values.get(key, (None, ()))
+    if len(views) == len(names) and all(params[n].data is view for n, view in zip(names, views)):
+        return flat
+    return np.concatenate([params[n].data for n in names], axis=None)
 
 
 def adamw_step(params, grads, state, cfg, step, lr_t):
     """Decoupled-weight-decay Adam update; `step` is 1-based for bias correction.
 
-    m and v are updated in place, and each parameter's update runs in two
-    scratch arrays. `p.data` is rebound to a new array, never written into,
-    so a snapshot that holds the old array keeps its values.
+    The update runs once per run of consecutive parameters that have a
+    gradient, over the run's flat gradient, moment and value arrays, in two
+    scratch arrays; m and v are updated in place. Each `p.data` is rebound
+    to a view of a new flat array, never written into, so a snapshot that
+    holds an old array keeps its values.
     """
     b1, b2 = ADAM_BETAS
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        m, v = state[name]["m"], state[name]["v"]
+    grads = grads if isinstance(grads, _FlatGrads) else _FlatGrads(params, grads)
+    for names, g in grads.runs:
+        start, stop = state.span[names[0]][0], state.span[names[-1]][1]
+        m, v = state.m[start:stop], state.v[start:stop]
+        x = _flat_values(params, names, state)
         t = np.multiply(g, 1.0 - b1)
         m *= b1
         m += t
@@ -146,18 +209,43 @@ def adamw_step(params, grads, state, cfg, step, lr_t):
         u += ADAM_EPS
         np.divide(m, 1.0 - b1**step, out=t)  # m_hat
         t /= u
-        np.multiply(p.data, cfg.weight_decay, out=u)
+        np.multiply(x, cfg.weight_decay, out=u)
         t += u
         t *= lr_t
-        p.data = p.data - t
+        np.subtract(x, t, out=t)  # t now holds the new values
+        views = []
+        for n in names:
+            a, b = state.span[n]
+            params[n].data = t[a - start:b - start].reshape(params[n].data.shape)
+            views.append(params[n].data)
+        state.last_values[start, stop] = (t, views)
 
 
 def clip_global_norm(grads, max_norm):
-    total = np.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64))) for g in grads.values()))
+    """Scale `grads` in place to a global L2 norm of at most `max_norm`; returns the norm before.
+
+    Each entry's float64 sum of squares is added in the dict's order. The
+    scale is applied in each gradient's own dtype, to the flat run arrays
+    the entries are views of; a plain dict's entries are first gathered
+    into such arrays and rebound to their views.
+    """
+    if not isinstance(grads, _FlatGrads):
+        flat = _FlatGrads(grads, grads)
+        grads.update(flat)
+        grads = flat
+    total = 0.0
+    for names, g in grads.runs:
+        squares = np.square(g, dtype=np.float64)
+        start = 0
+        for n in names:
+            size = grads[n].size
+            total += float(np.add.reduce(squares[start:start + size]))
+            start += size
+    total = np.sqrt(total)
     if total > max_norm and total > 0:
-        scale = max_norm / total  # applied in each grad's own dtype
-        for name in grads:
-            grads[name] = grads[name] * grads[name].dtype.type(scale)
+        scale = max_norm / total
+        for _, g in grads.runs:
+            g *= g.dtype.type(scale)
     return total
 
 
@@ -278,14 +366,15 @@ def _run_steps(model, cfg, lr_at, step_loss, eval_loss, tokens_per_step, first_l
     `step_loss()` builds one step's scalar loss graph (drawing its own
     batch), `eval_loss()` scores the model at an eval point and `lr_at(i)`
     is the learning rate of 0-based step i. Each step runs backward,
-    clips the global gradient norm to `cfg.grad_clip` (None disables) and
-    applies AdamW. Eval points are step 0, every `cfg.eval_every` steps and
-    the last step; each records the mean train loss since the previous one
-    and snapshots the parameters. A non-finite loss (caught before
-    backward) or a non-finite parameter at an eval point restores the
-    latest snapshot and raises TrainingDiverged, so no snapshot, saved
-    checkpoint or returned model holds a non-finite value. When `save_fn`
-    is given it is called as save_fn(model, tag) at every eval point.
+    gathers the gradients into flat arrays once, clips their global norm
+    to `cfg.grad_clip` (None disables) and applies AdamW. Eval points are
+    step 0, every `cfg.eval_every` steps and the last step; each records
+    the mean train loss since the previous one and snapshots the
+    parameters. A non-finite loss (caught before backward) or a non-finite
+    parameter at an eval point restores the latest snapshot and raises
+    TrainingDiverged, so no snapshot, saved checkpoint or returned model
+    holds a non-finite value. When `save_fn` is given it is called as
+    save_fn(model, tag) at every eval point.
     """
     state = adamw_state(model)
     report = TrainReport()
@@ -309,7 +398,7 @@ def _run_steps(model, cfg, lr_at, step_loss, eval_loss, tokens_per_step, first_l
         if not np.isfinite(loss_val):
             raise diverged(step, "non-finite loss")
         backward(loss)
-        grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
+        grads = _FlatGrads(model.params, {name: p.grad for name, p in model.params.items()})
         if cfg.grad_clip is not None:
             clip_global_norm(grads, cfg.grad_clip)
         adamw_step(model.params, grads, state, cfg, step + 1, lr_at(step))

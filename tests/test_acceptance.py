@@ -14,7 +14,7 @@ from scipy.stats import chisquare
 
 from mixerlab import tensor as T
 from mixerlab.checkpoint import load_checkpoint, save_checkpoint
-from mixerlab.data import ChunkStore, build_corpus, chunk_and_pad, pair_line_chunks, pairs_to_sequences, synthetic_pairs
+from mixerlab.data import ChunkStore, build_corpus, chunk_and_pad, pairs_to_sequences
 from mixerlab.inversion import InversionConfig, decode_embedding, invert_input, normalized_hamming
 from mixerlab.jl import jl_min_dim, jl_shorthand_dim
 from mixerlab.models import (
@@ -371,21 +371,15 @@ def test_criterion_9_autoencoder_ordering():
 # ---------------------------------------------------------------------------
 # 10. retrieval pipeline end-to-end
 
-def test_criterion_10_retrieval_pipeline():
+def test_criterion_10_retrieval_pipeline(pretrained_generator, tmp_path):
     from mixerlab.retrieval import pca_project, train_indirect
 
     start = time.time()
-    rng = np.random.default_rng(7)
-    pairs = synthetic_pairs(576, rng)
-    train_pairs, eval_pairs = pairs[:512], pairs[512:]
-    n_ctx = 22
-    gen_cfg = ModelConfig("masked_mixer", d_model=64, n_layers=2, n_ctx=n_ctx, vocab=259, padding_side="left")
-    gen = build_model(gen_cfg, seed=0)
-    train(
-        gen,
-        (pair_line_chunks(train_pairs, n_ctx), pair_line_chunks(eval_pairs[:32], n_ctx)),
-        TrainConfig(objective="clm", steps=1500, batch_size=16, lr=2e-3, eval_every=1500, seed=0),
-    )
+    pretrained, train_pairs, eval_pairs = pretrained_generator
+    # tune a copy: the session's generator stays as pretrained for the other tests
+    save_checkpoint(pretrained, tmp_path / "gen.ckpt")
+    gen = load_checkpoint(tmp_path / "gen.ckpt")
+    n_ctx = gen.config.n_ctx
     tq, tt = pairs_to_sequences(train_pairs, n_ctx)
     eq, et = pairs_to_sequences(eval_pairs, n_ctx)
 
@@ -399,7 +393,7 @@ def test_criterion_10_retrieval_pipeline():
 
     # negative control: retrieval training over an un-pretrained model's
     # embeddings fails to improve its loss beyond the uniform level
-    fresh = build_model(gen_cfg, seed=99)
+    fresh = build_model(gen.config, seed=99)
     rand_train, rand_eval = pca_project(
         *center_and_normalize(embed_pair_store(fresh, tq, tt), embed_pair_store(fresh, eq, et)), dim=16
     )

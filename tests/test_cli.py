@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from mixerlab import cli
 from mixerlab.checkpoint import (
     CheckpointFormatError,
     load_checkpoint,
@@ -373,6 +374,30 @@ def test_train_config_below_one_exit_1_names_field(tmp_path, corpus_file, capsys
     field = flag[2:].replace("-", "_")
     assert capsys.readouterr().err == f"error: {field} must be >= 1, got {value}\n"
     assert not (out / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_grad_clip_below_zero_or_nan_exit_1_names_field(tmp_path, corpus_file, capsys, value):
+    argv = ["train-clm", "--corpus", str(corpus_file), "--d-model", "16", "--n-layers", "1", "--n-ctx", "8"]
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run_cli([*argv, "--grad-clip", value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: grad_clip must be > 0 (None disables clipping), got {float(value)}\n"
+    assert not (out / "model.ckpt").exists()
+
+
+def test_grad_clip_zero_disables_clipping(tmp_path, corpus_file, monkeypatch):
+    seen = []
+    real_train = cli.train
+
+    def spy(model, corpus, cfg, save_fn=None):
+        seen.append(cfg.grad_clip)
+        return real_train(model, corpus, cfg, save_fn=save_fn)
+
+    monkeypatch.setattr(cli, "train", spy)
+    argv = ["train-clm", "--corpus", str(corpus_file), "--d-model", "16", "--n-layers", "1", "--n-ctx", "8", "--steps", "1"]
+    assert run_cli([*argv, "--grad-clip", "0", "--out", str(tmp_path / "o")]) == 0
+    assert seen == [None]
 
 
 COUNT_CASES = {  # case: (a count it cannot run, the error naming it, the artifact it must not write)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixerlab import tensor as T
-from mixerlab.data import pair_line_chunks, pairs_to_sequences, synthetic_pairs
+from mixerlab.data import pairs_to_sequences
 from mixerlab.models import ModelConfig, build_model, retrieval_mixer_forward
 from mixerlab.retrieval import (
     center_and_normalize,
@@ -16,28 +16,17 @@ from mixerlab.retrieval import (
     train_indirect,
 )
 from mixerlab.tensor import Tensor
-from mixerlab.training import TrainConfig, train
 
-N_CTX = 22
 LN32 = np.log(32)
 
 
 @pytest.fixture(scope="module")
-def stores():
-    """Pretrain one generator and embed the pair corpus once for the module."""
-    rng = np.random.default_rng(7)
-    pairs = synthetic_pairs(576, rng)
-    train_pairs, eval_pairs = pairs[:512], pairs[512:]
-    gen_cfg = ModelConfig("masked_mixer", d_model=64, n_layers=2, n_ctx=N_CTX, vocab=259, padding_side="left")
-    gen = build_model(gen_cfg, seed=0)
-    train(
-        gen,
-        (pair_line_chunks(train_pairs, N_CTX), pair_line_chunks(eval_pairs[:32], N_CTX)),
-        TrainConfig(objective="clm", steps=1500, batch_size=16, lr=2e-3, eval_every=1500, seed=0),
-    )
-    fresh = build_model(gen_cfg, seed=99)
-    tq, tt = pairs_to_sequences(train_pairs, N_CTX)
-    eq, et = pairs_to_sequences(eval_pairs, N_CTX)
+def stores(pretrained_generator):
+    """Embed the pair corpus once for the module with the pretrained generator and a fresh model."""
+    gen, train_pairs, eval_pairs = pretrained_generator
+    fresh = build_model(gen.config, seed=99)
+    tq, tt = pairs_to_sequences(train_pairs, gen.config.n_ctx)
+    eq, et = pairs_to_sequences(eval_pairs, gen.config.n_ctx)
 
     def prep(model):
         a, b = center_and_normalize(embed_pair_store(model, tq, tt), embed_pair_store(model, eq, et))

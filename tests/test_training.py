@@ -16,6 +16,7 @@ from mixerlab.training import (
     adamw_state,
     adamw_step,
     batch_loss,
+    _run_steps,
     clip_global_norm,
     evaluate,
     many_token_logits,
@@ -101,6 +102,133 @@ def test_grad_clip_preserves_dtype():
     grads = {"a": np.full(3, 5.0, dtype=np.float32)}
     clip_global_norm(grads, 1.0)
     assert grads["a"].dtype == np.float32
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+def test_train_config_rejects_a_grad_clip_that_is_not_positive(value):
+    with pytest.raises(ValueError, match="grad_clip must be > 0"):
+        TrainConfig(grad_clip=value)
+
+
+# ---------------------------------------------------------------------------
+# flat-buffer AdamW against the per-parameter algorithm
+
+SHAPES = {"a": (3, 4), "b": (5,), "c": (2, 3), "d": (4,)}
+# Parameters that get no gradient: none (one run), one in the middle (two
+# runs) or the last one (a run that ends early, like InfoNCE's lm_head).
+NO_GRAD = {"one_run": (), "gap_in_the_middle": ("b",), "none_at_the_end": ("d",)}
+STEPS = 6
+WEIGHT_DECAY = 0.01
+
+
+def _lr_at(i):
+    return 0.01 * (1.0 - i / STEPS)
+
+
+def _initial_values(dtype):
+    rng = np.random.default_rng(51)
+    return {n: rng.normal(size=s).astype(dtype) for n, s in SHAPES.items()}
+
+
+def _step_grads(dtype, no_grad):
+    """One gradient dict per step, entries from 1e-8 to 1e2 in magnitude."""
+    rng = np.random.default_rng(50)
+    return [
+        {
+            n: (rng.normal(size=s) * 10.0 ** rng.uniform(-8, 2, size=s)).astype(dtype)
+            for n, s in SHAPES.items()
+            if n not in no_grad
+        }
+        for _ in range(STEPS)
+    ]
+
+
+def _oracle_step(values, moments, grads, max_norm, step, lr_t):
+    """One step of clipping and AdamW written out one parameter at a time.
+
+    Each expression evaluates in the order of the optimizer's in-place
+    calls and in the parameter's dtype. Updates `values` and `moments`.
+    """
+    if max_norm is not None:
+        total = np.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64))) for g in grads.values()))
+        if total > max_norm:
+            grads = {n: g * g.dtype.type(max_norm / total) for n, g in grads.items()}
+    b1, b2 = ADAM_BETAS
+    for n, g in grads.items():
+        m, v = moments[n]
+        m = m * b1 + g * (1.0 - b1)
+        v = v * b2 + g * g * (1.0 - b2)
+        update = m / (1.0 - b1**step) / (np.sqrt(v / (1.0 - b2**step)) + ADAM_EPS) + values[n] * WEIGHT_DECAY
+        values[n] = values[n] - update * lr_t
+        moments[n] = (m, v)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+OPTIMIZER_CASES = pytest.mark.parametrize(
+    "dtype,no_grad,max_norm",
+    [(d, g, c) for d in (np.float32, np.float64) for g in NO_GRAD for c in (1.0, None)],
+    ids=[f"{np.dtype(d).name}-{g}-{'clip' if c else 'no_clip'}" for d in (np.float32, np.float64) for g in NO_GRAD for c in (1.0, None)],
+)
+
+
+@OPTIMIZER_CASES
+def test_training_driver_matches_per_parameter_adamw_bit_for_bit(dtype, no_grad, max_norm):
+    """The shared step loop over a loss sum(p * G), whose gradient in each p is exactly G."""
+    values = _initial_values(dtype)
+    step_grads = _step_grads(dtype, NO_GRAD[no_grad])
+    params = {n: Tensor(x.copy(), requires_grad=True) for n, x in values.items()}
+    stream = iter(step_grads)
+
+    def step_loss():
+        loss = None
+        for n, g in next(stream).items():
+            term = T.tsum(T.mul(params[n], Tensor(g)))
+            loss = term if loss is None else T.add(loss, term)
+        return loss
+
+    cfg = TrainConfig(steps=STEPS, eval_every=STEPS, weight_decay=WEIGHT_DECAY, grad_clip=max_norm)
+    _run_steps(type("M", (), {"params": params})(), cfg, _lr_at, step_loss, lambda: 0.0, tokens_per_step=1)
+    moments = {n: (np.zeros_like(x), np.zeros_like(x)) for n, x in values.items()}
+    for i, grads in enumerate(step_grads):
+        _oracle_step(values, moments, grads, max_norm, i + 1, _lr_at(i))
+    for n, p in params.items():
+        assert _same_bits(p.data, values[n]), n
+
+
+@OPTIMIZER_CASES
+def test_adamw_step_and_clip_match_per_parameter_algorithm_bit_for_bit(dtype, no_grad, max_norm):
+    """The public functions over plain dicts, m and v included, through a restore from a snapshot.
+
+    Before step 4 the parameters are rebound to copies of their values
+    after step 1, as the divergence restore does. No array a parameter
+    held before a step changes during it.
+    """
+    values = _initial_values(dtype)
+    params = {n: Tensor(x.copy(), requires_grad=True) for n, x in values.items()}
+    state = adamw_state(type("M", (), {"params": params})())
+    moments = {n: (np.zeros_like(x), np.zeros_like(x)) for n, x in values.items()}
+    cfg = TrainConfig(steps=STEPS, weight_decay=WEIGHT_DECAY)
+    for i, grads in enumerate(_step_grads(dtype, NO_GRAD[no_grad])):
+        if i == 3:
+            for n, p in params.items():
+                p.data = snapshot[n].copy()
+                values[n] = snapshot[n].copy()
+        held = {n: p.data for n, p in params.items()}
+        kept = {n: x.copy() for n, x in held.items()}
+        _oracle_step(values, moments, grads, max_norm, i + 1, _lr_at(i))
+        grads = {n: g.copy() for n, g in grads.items()}
+        if max_norm is not None:
+            clip_global_norm(grads, max_norm)
+        adamw_step(params, grads, state, cfg, i + 1, _lr_at(i))
+        for n, p in params.items():
+            assert _same_bits(held[n], kept[n]), (i, n)
+            assert _same_bits(p.data, values[n]), (i, n)
+            assert _same_bits(state[n]["m"], moments[n][0]) and _same_bits(state[n]["v"], moments[n][1]), (i, n)
+        if i == 0:
+            snapshot = {n: p.data.copy() for n, p in params.items()}
 
 
 def test_training_preserves_param_dtype():
