@@ -48,11 +48,20 @@ class CausalMask:
             raise ValueError(f"unknown mask direction {self.direction!r}")
 
     def pattern(self, out_n, in_n):
-        if self.direction == "forward":
-            return np.tril(np.ones((out_n, in_n)))
-        if self.direction == "reverse":
-            return np.triu(np.ones((out_n, in_n)))
-        return np.ones((out_n, in_n))
+        """The (out_n, in_n) 0/1 float64 mask: built once per shape and direction, and read-only."""
+        return _mask_pattern(self.direction, out_n, in_n)
+
+
+@functools.lru_cache(maxsize=None)
+def _mask_pattern(direction, out_n, in_n):
+    if direction == "forward":
+        mask = np.tril(np.ones((out_n, in_n)))
+    elif direction == "reverse":
+        mask = np.triu(np.ones((out_n, in_n)))
+    else:
+        mask = np.ones((out_n, in_n))
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True)
@@ -230,6 +239,7 @@ def _as_ids(tokens, cfg):
 
 
 def _token_mix(params, prefix, h, cfg, mask_dir):
+    """Token mixing of the mixer variants that stay a chain of nodes: several heads, or expansion 2."""
     mask = CausalMask(mask_dir)
     s = cfg.n_ctx
     if cfg.n_heads > 1:
@@ -241,17 +251,17 @@ def _token_mix(params, prefix, h, cfg, mask_dir):
             xh = T.narrow(proj, -1, j * d_head, d_head)
             heads.append(_one_conv(params, f"{prefix}mix.conv{j}.", xh, cfg, sq))
         return T.matmul(T.concat(heads, axis=-1), params[prefix + "mix.w_out"])
-    if cfg.expansion == 2:
-        up = _one_conv(params, prefix + "mix.conv1.", h, cfg, mask.pattern(2 * s, s))
-        return _one_conv(params, prefix + "mix.conv2.", T.gelu(up), cfg, mask.pattern(s, 2 * s))
-    return _one_conv(params, prefix + "mix.conv.", h, cfg, mask.pattern(s, s))
+    up = _one_conv(params, prefix + "mix.conv1.", h, cfg, mask.pattern(2 * s, s))
+    return _one_conv(params, prefix + "mix.conv2.", T.gelu(up), cfg, mask.pattern(s, 2 * s))
+
+
+def _conv_weight(params, prefix, cfg, mask):
+    w = params[prefix + "w"]
+    return T.softmax_conv_weights(w, mask) if cfg.softmax_weights else w
 
 
 def _one_conv(params, prefix, x, cfg, mask):
-    w = params[prefix + "w"]
-    if cfg.softmax_weights:
-        w = T.softmax_conv_weights(w, mask)
-    return T.masked_conv1d(x, w, mask)
+    return T.masked_conv1d(x, _conv_weight(params, prefix, cfg, mask), mask)
 
 
 @functools.lru_cache(maxsize=None)
@@ -264,26 +274,6 @@ def _rope_cache(n_ctx, d_head, dtype):
     sin = np.concatenate([np.sin(angles), np.sin(angles)], axis=1).astype(dtype)
     cos.flags.writeable = sin.flags.writeable = False
     return cos, sin
-
-
-def _attention(params, prefix, h, cfg, allowed, rope):
-    """Multi-head attention with every head on one axis: (..., S, D) -> (..., H, S, d_head).
-
-    The heads run as one `T.attention` node, and are merged back to
-    head-major columns before wo.
-    """
-    n_heads, d_head = cfg.n_heads, cfg.d_model // cfg.n_heads
-    lead = h.shape[:-1]
-
-    def split(w):
-        proj = T.reshape(T.matmul(h, params[prefix + w]), lead + (n_heads, d_head))
-        return T.swapaxes(proj, -3, -2)
-
-    q, k, v = T.rope(split("wq"), *rope), T.rope(split("wk"), *rope), split("wv")
-    # one mask per sequence, shared by its heads
-    heads = T.attention(q, k, v, allowed[..., None, :, :])
-    merged = T.reshape(T.swapaxes(heads, -3, -2), h.shape)
-    return T.matmul(merged, params[prefix + "wo"])
 
 
 def _allowed_attention(cfg, mask_dir, ids):
@@ -323,12 +313,15 @@ def _run_stack(model, prefix, e, mask_dir, ids=None, layer=-1, rows=None):
     x = e
     for i in range(min(last, cfg.n_layers)):
         p = f"{prefix}blocks.{i}."
-        h = T.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
-        if mixer:
-            mixed = _token_mix(params, p, h, cfg, mask_dir)
+        ln1 = params[p + "ln1.gain"], params[p + "ln1.bias"]
+        if not mixer:
+            attn = (params[p + "attn." + n] for n in ("wq", "wk", "wv", "wo"))
+            x = T.attention_sublayer(x, *ln1, *attn, allowed, *rope, cfg.n_heads)
+        elif cfg.n_heads > 1 or cfg.expansion == 2:
+            x = T.add(x, _token_mix(params, p, T.layer_norm(x, *ln1), cfg, mask_dir))
         else:
-            mixed = _attention(params, p + "attn.", h, cfg, allowed, rope)
-        x = T.add(x, mixed)
+            mask = CausalMask(mask_dir).pattern(cfg.n_ctx, cfg.n_ctx)
+            x = T.conv_sublayer(x, *ln1, _conv_weight(params, p + "mix.conv.", cfg, mask), mask)
         if rows is not None and i == cfg.n_layers - 1:
             x = _rows_at(x, rows)
         x = T.feed_forward(x, *(params[p + n] for n in ("ln2.gain", "ln2.bias", "ff.w1", "ff.b1", "ff.w2", "ff.b2")))

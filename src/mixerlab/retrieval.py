@@ -17,7 +17,7 @@ from . import tensor as T
 from .data import PAD_ID
 from .models import _as_ids, embedding_graph, retrieval_mixer_forward, sequence_embedding
 from .tensor import Tensor
-from .training import TrainConfig, _check_positive, _run_steps
+from .training import TrainConfig, _check_positive, _check_rate, _run_steps
 
 log = logging.getLogger(__name__)
 
@@ -78,6 +78,7 @@ class InfoNCEConfig:
         if self.negatives < 1:
             raise ValueError("need at least one negative")
         _check_positive(self, "steps", "eval_every", "batches_per_update")
+        _check_rate("lr", self.lr)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +243,7 @@ def train_indirect(model, store, eval_store, steps=200, batch_size=16, lr=1e-4, 
     The match-detection circuit sits behind a long optimization plateau, so
     the learning rate stays constant.
     """
+    _check_rate("lr", lr)
     c = model.config.n_ctx
     rng = np.random.default_rng(seed)
 

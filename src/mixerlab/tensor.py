@@ -26,7 +26,7 @@ _NEG_BIG = 1e30  # additive mask constant; exp(-1e30 - anything sane) underflows
 
 PINV_RCOND = 1e-10  # pinv zeroes singular values below PINV_RCOND * sigma_max
 
-LN_EPS = 1e-5  # added to each row's variance by layer_norm and feed_forward
+LN_EPS = 1e-5  # added to each row's variance by layer_norm and the three sublayer nodes
 
 _creation_counter = itertools.count()
 
@@ -606,6 +606,37 @@ def feed_forward(x, gain, bias, w1, b1, w2, b2):
     return _make(out, (x, gain, bias, w1, b1, w2, b2), backward)
 
 
+def _attention_fwd(qd, kd, allowed):
+    """(weights, k^T, scale) of `attention` on arrays; the output is weights @ v."""
+    kt = np.ascontiguousarray(np.swapaxes(kd, -1, -2))
+    scale = qd.dtype.type(1.0 / np.sqrt(qd.shape[-1]))
+    att = np.matmul(qd, kt)
+    att *= scale
+    np.copyto(att, qd.dtype.type(-_NEG_BIG), where=np.asarray(allowed) == 0)
+    att -= np.max(att, axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= np.sum(att, axis=-1, keepdims=True)
+    return att, kt, scale
+
+
+def _attention_grads(g, att, qd, kt, vd, scale, needs):
+    """Gradients of attention's (q, k, v) from its output gradient g; None where not `needs`."""
+    gv = np.matmul(np.swapaxes(att, -1, -2), g) if needs[2] else None
+    gq = gk = None
+    if needs[0] or needs[1]:
+        # a disallowed key has att == +0, so its score gradient is already
+        # the +-0 that multiplying by the 0/1 mask would give
+        gs = np.matmul(g, np.swapaxes(vd, -1, -2))
+        gs -= np.sum(gs * att, axis=-1, keepdims=True)
+        gs *= att
+        gs *= scale
+        if needs[0]:
+            gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
+        if needs[1]:
+            gk = np.ascontiguousarray(np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), gs), -1, -2))
+    return gq, gk, gv
+
+
 def attention(q, k, v, allowed):
     """Scaled dot-product attention over the allowed keys, as one graph node.
 
@@ -622,39 +653,26 @@ def attention(q, k, v, allowed):
     """
     _check_same_dtype(q, k, v)
     qd, vd = q.data, v.data
-    kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
-    scale = qd.dtype.type(1.0 / np.sqrt(qd.shape[-1]))
-    att = np.matmul(qd, kt)
-    att *= scale
-    np.copyto(att, qd.dtype.type(-_NEG_BIG), where=np.asarray(allowed) == 0)
-    att -= np.max(att, axis=-1, keepdims=True)
-    np.exp(att, out=att)
-    att /= np.sum(att, axis=-1, keepdims=True)
+    att, kt, scale = _attention_fwd(qd, k.data, allowed)
     needs = (q.requires_grad, k.requires_grad, v.requires_grad)
-
-    def backward(g):
-        gv = np.matmul(np.swapaxes(att, -1, -2), g) if needs[2] else None
-        gq = gk = None
-        if needs[0] or needs[1]:
-            # a disallowed key has att == +0, so its score gradient is already
-            # the +-0 that multiplying by the 0/1 mask would give
-            gs = np.matmul(g, np.swapaxes(vd, -1, -2))
-            gs -= np.sum(gs * att, axis=-1, keepdims=True)
-            gs *= att
-            gs *= scale
-            if needs[0]:
-                gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
-            if needs[1]:
-                gk = np.ascontiguousarray(np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), gs), -1, -2))
-        return gq, gk, gv
-
-    return _make(np.matmul(att, vd), (q, k, v), backward)
+    return _make(np.matmul(att, vd), (q, k, v), lambda g: _attention_grads(g, att, qd, kt, vd, scale, needs))
 
 
 def _rotate_half(x):
     """(-x2, x1) for x = (x1, x2), the two halves of the last axis."""
     half = x.shape[-1] // 2
     return np.concatenate([-x[..., half:], x[..., :half]], axis=-1)
+
+
+def _rope_fwd(x, cos, sin):
+    out = x * cos
+    out += _rotate_half(x) * sin
+    return out
+
+
+def _rope_grad(g, cos, sin):
+    # the rotation's transpose is its negative
+    return g * cos - _rotate_half(g * sin)
 
 
 def rope(x, cos, sin):
@@ -666,27 +684,95 @@ def rope(x, cos, sin):
     with a signed permutation matrix, which gives the same bits: each
     output of that product is one +-1 term plus exact zeros.
     """
-    out = x.data * cos
-    out += _rotate_half(x.data) * sin
-    # the rotation's transpose is its negative
-    return _make(out, (x,), lambda g: (g * cos - _rotate_half(g * sin),))
+    return _make(_rope_fwd(x.data, cos, sin), (x,), lambda g: (_rope_grad(g, cos, sin),))
+
+
+def attention_sublayer(x, gain, bias, wq, wk, wv, wo, allowed, cos, sin, n_heads):
+    """Pre-norm multi-head attention sublayer with its residual, as one graph node.
+
+    x + merge(attention(rope(q), rope(k), v)) @ wo, where q, k and v are
+    layer_norm(x, gain, bias) times wq, wk and wv (each (d, d)), split into
+    `n_heads` heads of width d / n_heads on a head axis before the sequence
+    axis, and merge puts the heads back side by side. x is (..., S, d);
+    `allowed` broadcasts against one sequence's (..., S, S) scores and is
+    shared by its heads; cos and sin are `rope`'s (S, d / n_heads) tables.
+
+    Both passes run the kernels of the chain `layer_norm`, three `matmul`s
+    with `reshape` and `swapaxes`, two `rope`s, `attention`, `swapaxes`,
+    `reshape`, `matmul` and the residual `add`, in its order and on arrays
+    of its memory layouts, so the output and every gradient keep the
+    chain's bits. The normed input's gradient sums the v, k and q flows in
+    the order the chain's backward pass does.
+    """
+    _check_same_dtype(x, gain, bias, wq, wk, wv, wo)
+    shape = x.data.shape
+    d = shape[-1]
+    if d % n_heads or any(w.data.shape != (d, d) for w in (wq, wk, wv, wo)):
+        raise ShapeError(
+            f"attention_sublayer shapes do not chain: x {shape}, {n_heads} heads, "
+            f"wq {wq.data.shape}, wk {wk.data.shape}, wv {wv.data.shape}, wo {wo.data.shape}"
+        )
+    heads_shape = shape[:-1] + (n_heads, d // n_heads)  # (..., S, H, d_head)
+    h, xhat, inv = _layer_norm_fwd(x.data, gain.data, bias.data, LN_EPS)
+    rows = h.reshape(-1, d)
+
+    def split(w):
+        return np.ascontiguousarray(np.swapaxes((rows @ w.data).reshape(heads_shape), -3, -2))
+
+    q, k, v = _rope_fwd(split(wq), cos, sin), _rope_fwd(split(wk), cos, sin), split(wv)
+    att, kt, scale = _attention_fwd(q, k, np.asarray(allowed)[..., None, :, :])
+    merged = np.ascontiguousarray(np.swapaxes(np.matmul(att, v), -3, -2)).reshape(-1, d)
+    out = (merged @ wo.data).reshape(shape)
+    out += x.data
+    needs = tuple(t.requires_grad for t in (x, gain, bias, wq, wk, wv, wo))
+
+    def backward(g):
+        g2 = g.reshape(-1, d)
+        gx = ggain = gbias = gwq = gwk = gwv = None
+        if any(needs[:6]):
+            gm = _flat_input_grad(g2, wo.data, shape).reshape(heads_shape)
+            gq, gk, gv = _attention_grads(
+                np.ascontiguousarray(np.swapaxes(gm, -3, -2)), att, q, kt, v, scale, (True, True, True)
+            )
+
+            def unsplit(gp, w, need_w):
+                """(normed-input gradient, weight gradient) of one split projection."""
+                gp2 = np.ascontiguousarray(np.swapaxes(gp, -3, -2)).reshape(-1, d)
+                return _flat_input_grad(gp2, w.data, shape), (rows.T @ gp2 if need_w else None)
+
+            ghv, gwv = unsplit(gv, wv, needs[5])
+            ghk, gwk = unsplit(_rope_grad(gk, cos, sin), wk, needs[4])
+            ghq, gwq = unsplit(_rope_grad(gq, cos, sin), wq, needs[3])
+            if any(needs[:3]):
+                gx, ggain, gbias = _layer_norm_grads(ghv + ghk + ghq, gain, bias, xhat, inv, needs)
+                if needs[0]:
+                    gx = g + gx
+        return gx, ggain, gbias, gwq, gwk, gwv, merged.T @ g2 if needs[6] else None
+
+    return _make(out, (x, gain, bias, wq, wk, wv, wo), backward)
 
 
 def embedding_lookup(wte, ids):
     """Embedding rows for integer token ids of any shape.
 
     wte has shape (d_model, vocab); ids of shape (..., S) give (..., S, d_model).
+    The backward scatters each row of the output gradient into its id's
+    column with one unbuffered add over flat indices c * vocab + id of the
+    C-ordered (d_model, vocab) gradient, so repeated ids add up in the
+    order of the rows.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim == 0:
         raise ShapeError("embedding ids must have at least one axis, got a scalar")
-    if ids.min(initial=0) < 0 or (ids.size and ids.max() >= wte.data.shape[1]):
-        raise ValueError(f"token id out of range for vocab {wte.data.shape[1]}")
+    d, vocab = wte.data.shape
+    if ids.min(initial=0) < 0 or (ids.size and ids.max() >= vocab):
+        raise ValueError(f"token id out of range for vocab {vocab}")
     out_data = wte.data.T[ids]
 
     def backward(g):
         gw = np.zeros_like(wte.data)
-        np.add.at(gw.T, ids.reshape(-1), g.reshape(-1, g.shape[-1]))
+        flat = ids.reshape(-1, 1) + np.arange(0, d * vocab, vocab)
+        np.add.at(gw.reshape(-1), flat.reshape(-1), g.reshape(-1))
         return (gw,)
 
     return _make(out_data, (wte,), backward)
@@ -738,8 +824,15 @@ def masked_conv1d(x, w, mask):
     stacked along the sequence axis.
     """
     _check_same_dtype(x, w)
-    seq, d = x.data.shape[-2:]
-    out_seq, in_seq, k = w.data.shape
+    out, flat_w, taps, m = _conv_fwd(x.data, w.data, mask)
+    needs = (x.requires_grad, w.requires_grad)
+    return _make(out, (x, w), lambda g: _conv_grads(g, flat_w, taps, m, needs))
+
+
+def _conv_fwd(x, w, mask):
+    """(output, flat masked weights, stacked taps, 3-D mask) of masked_conv1d on arrays."""
+    seq, d = x.shape[-2:]
+    out_seq, in_seq, k = w.shape
     if in_seq != seq:
         raise ShapeError(f"conv weight in-dim {in_seq} does not match sequence {seq}")
     if k < 1 or k > seq:
@@ -747,31 +840,62 @@ def masked_conv1d(x, w, mask):
     if mask.shape != (out_seq, in_seq):
         raise ShapeError(f"mask shape {mask.shape} does not match weights {(out_seq, in_seq)}")
     m = np.asarray(mask, dtype=w.dtype)[:, :, None]
-    flat_w = (w.data * m).transpose(0, 2, 1).reshape(out_seq, k * in_seq)
-    lead = x.data.shape[:-2]
+    flat_w = (w * m).transpose(0, 2, 1).reshape(out_seq, k * in_seq)
     if k == 1:
-        taps = x.data
+        taps = x
     else:
-        taps = np.zeros(lead + (k, seq, d), dtype=x.data.dtype)
+        lead = x.shape[:-2]
+        taps = np.zeros(lead + (k, seq, d), dtype=x.dtype)
         for t in range(min(k, d)):  # a tap shifted by d or more reads only padding
-            taps[..., t, :, t:] = x.data[..., :, : d - t]
+            taps[..., t, :, t:] = x[..., :, : d - t]
         taps = taps.reshape(lead + (k * seq, d))
-    needs = (x.requires_grad, w.requires_grad)
+    return np.matmul(flat_w, taps), flat_w, taps, m
+
+
+def _conv_grads(g, flat_w, taps, m, needs):
+    """Gradients of masked_conv1d's (x, w) from its output gradient g; None where not `needs`."""
+    out_seq, in_seq = m.shape[:2]
+    k = flat_w.shape[1] // in_seq
+    lead, d = taps.shape[:-2], taps.shape[-1]
+    gx = gw = None
+    if needs[0]:
+        g_taps = np.matmul(flat_w.T, g).reshape(lead + (k, in_seq, d))
+        gx = g_taps[..., 0, :, :].copy()
+        for t in range(1, min(k, d)):
+            gx[..., :, : d - t] += g_taps[..., t, :, t:]
+    if needs[1]:
+        batch = tuple(range(len(lead)))
+        g_flat = np.tensordot(g, taps, axes=(batch + (g.ndim - 1,), batch + (taps.ndim - 1,)))
+        gw = g_flat.reshape(out_seq, k, in_seq).transpose(0, 2, 1) * m
+    return gx, gw
+
+
+def conv_sublayer(x, gain, bias, w, mask):
+    """Pre-norm masked-convolution sublayer with its residual, as one graph node.
+
+    x + masked_conv1d(layer_norm(x, gain, bias), w, mask), for x of shape
+    (..., S, d) and w and mask as in `masked_conv1d`. Both passes run the
+    kernels of the three-node chain `layer_norm`, `masked_conv1d`, `add`
+    in its order, so the output and every gradient keep the chain's bits;
+    the x gradient is the residual's g plus the norm's, summed in the
+    chain's order.
+    """
+    _check_same_dtype(x, gain, bias, w)
+    h, xhat, inv = _layer_norm_fwd(x.data, gain.data, bias.data, LN_EPS)
+    out, flat_w, taps, m = _conv_fwd(h, w.data, mask)
+    out += x.data
+    needs = (x.requires_grad, gain.requires_grad, bias.requires_grad, w.requires_grad)
 
     def backward(g):
-        gx = gw = None
-        if needs[0]:
-            g_taps = np.matmul(flat_w.T, g).reshape(lead + (k, seq, d))
-            gx = g_taps[..., 0, :, :].copy()
-            for t in range(1, min(k, d)):
-                gx[..., :, : d - t] += g_taps[..., t, :, t:]
-        if needs[1]:
-            batch = tuple(range(len(lead)))
-            g_flat = np.tensordot(g, taps, axes=(batch + (g.ndim - 1,), batch + (taps.ndim - 1,)))
-            gw = g_flat.reshape(out_seq, k, in_seq).transpose(0, 2, 1) * m
-        return gx, gw
+        gx = ggain = gbias = None
+        gh, gw = _conv_grads(g, flat_w, taps, m, (any(needs[:3]), needs[3]))
+        if gh is not None:
+            gx, ggain, gbias = _layer_norm_grads(gh, gain, bias, xhat, inv, needs)
+            if needs[0]:
+                gx = g + gx
+        return gx, ggain, gbias, gw
 
-    return _make(np.matmul(flat_w, taps), (x, w), backward)
+    return _make(out, (x, gain, bias, w), backward)
 
 
 def softmax_conv_weights(w, mask):

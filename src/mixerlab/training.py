@@ -43,6 +43,12 @@ def _check_positive(cfg, *names):
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _check_rate(name, value):
+    """Raise ValueError naming `name` unless `value` is finite and > 0: any other rate trains uphill or not at all."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     objective: str = "clm"
@@ -64,6 +70,10 @@ class TrainConfig:
             raise ValueError("multi-token width must lie in [1, 4]")
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise ValueError(f"grad_clip must be > 0 (None disables clipping), got {self.grad_clip}")
+        if self.lr is not None:
+            _check_rate("lr", self.lr)
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
     def lr_at(self, step_index, lr0):
         return lr0 * (1.0 - step_index / self.steps)

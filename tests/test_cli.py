@@ -386,6 +386,31 @@ def test_grad_clip_below_zero_or_nan_exit_1_names_field(tmp_path, corpus_file, c
     assert not (out / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "nan"])
+@pytest.mark.parametrize("command", ["train-clm", "train-retrieval-indirect", "train-retrieval-infonce"])
+def test_rate_below_zero_or_nan_exit_1_names_field(tmp_path, corpus_file, capsys, command, value):
+    if command == "train-clm":
+        argv = ["--corpus", str(corpus_file), "--d-model", "16", "--n-layers", "1", "--n-ctx", "8"]
+        artifact = "model.ckpt"
+    elif command == "train-retrieval-indirect":
+        store = tmp_path / "in.ckpt"
+        rng = np.random.default_rng(1)
+        save_embedding_store(EmbeddingStore(queries=rng.normal(size=(24, 8)), targets=rng.normal(size=(24, 8))), store)
+        argv = ["--embeddings", str(store), "--steps", "1", "--candidates", "4"]
+        artifact = "retrieval-model.ckpt"
+    else:
+        pairs, ckpt = tmp_path / "pairs.tsv", tmp_path / "in.ckpt"
+        write_pairs(pairs, synthetic_pairs(24, np.random.default_rng(0)))
+        save_checkpoint(build_model(ModelConfig("masked_mixer", d_model=16, n_layers=1, n_ctx=16), seed=0), ckpt)
+        argv = ["--checkpoint", str(ckpt), "--pairs", str(pairs), "--steps", "1", "--negatives", "2"]
+        artifact = "model.ckpt"
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run_cli([command, *argv, "--lr", value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: lr must be finite and > 0, got {float(value)}\n"
+    assert not (out / artifact).exists()
+
+
 def test_grad_clip_zero_disables_clipping(tmp_path, corpus_file, monkeypatch):
     seen = []
     real_train = cli.train

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from mixerlab import models
 from mixerlab import tensor as T
 from mixerlab.data import PAD_ID
 from mixerlab.models import (
@@ -155,21 +154,22 @@ def _rope_by_rotation_matrix(x, cos, sin):
     return T.add(T.mul(x, Tensor(cos)), T.mul(T.matmul(x, Tensor(rot.astype(x.dtype))), Tensor(sin)))
 
 
-def _per_head_attention(params, prefix, h, cfg, allowed, rope):
+def _per_head_attention(h, wq, wk, wv, wo, allowed, rope, n_heads):
     """Reference attention: one narrow, RoPE, score product, mask and softmax per head, then concat."""
-    d_head = cfg.d_model // cfg.n_heads
+    d_head = h.shape[-1] // n_heads
+    allowed = np.asarray(allowed)
     m = Tensor(allowed.astype(h.dtype))
     fill = Tensor(((1.0 - allowed) * -T._NEG_BIG).astype(h.dtype))
-    q, k, v = (T.matmul(h, params[prefix + w]) for w in ("wq", "wk", "wv"))
+    q, k, v = (T.matmul(h, w) for w in (wq, wk, wv))
     outs = []
-    for j in range(cfg.n_heads):
+    for j in range(n_heads):
         qh = _rope_by_rotation_matrix(T.narrow(q, -1, j * d_head, d_head), *rope)
         kh = _rope_by_rotation_matrix(T.narrow(k, -1, j * d_head, d_head), *rope)
         vh = T.narrow(v, -1, j * d_head, d_head)
         scores = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(d_head))
         att = T.softmax(T.add(T.mul(scores, m), fill), axis=-1)
         outs.append(T.matmul(att, vh))
-    return T.matmul(T.concat(outs, axis=-1), params[prefix + "wo"])
+    return T.matmul(T.concat(outs, axis=-1), wo)
 
 
 def _logits_and_grads(model, ids, probe):
@@ -183,16 +183,26 @@ def _logits_and_grads(model, ids, probe):
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
 @pytest.mark.parametrize("family", ["transformer", "bidirectional_transformer", "transformer_autoencoder"])
 def test_head_batched_attention_matches_per_head_loop(monkeypatch, family, n_heads):
+    """The attention-sublayer node against x + _per_head_attention(layer_norm(x)) in every block."""
     model = build_model(tiny(family, n_heads=n_heads), seed=17, dtype=CHECK64)
     rng = np.random.default_rng(n_heads)
     ids = rng.integers(0, 256, size=(3, 8))
     ids[1, 5:] = PAD_ID
+    blocks = []
+
+    def reference_block(x, gain, bias, wq, wk, wv, wo, allowed, cos, sin, n_heads):
+        blocks.append(n_heads)
+        return T.add(x, _per_head_attention(T.layer_norm(x, gain, bias), wq, wk, wv, wo, allowed, (cos, sin), n_heads))
+
     for x in (ids, ids[0]):
         probe = rng.normal(size=x.shape + (259,))
         got, got_grads = _logits_and_grads(model, x, probe)
+        blocks.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(models, "_attention", _per_head_attention)
+            patch.setattr(T, "attention_sublayer", reference_block)
             want, want_grads = _logits_and_grads(model, x, probe)
+        # the reference ran in every block of every stack, so the two sides share no attention code
+        assert blocks == [n_heads] * (2 if family == "transformer" else 4)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # relative to the model's largest gradient entry: the autoencoder decoder
         # attends over identical rows, so its wq/wk gradients are rounding noise around 0

@@ -273,6 +273,19 @@ def test_infonce_config_validation():
             InfoNCEConfig(**{field: 0})
 
 
+@pytest.mark.parametrize("value", [0.0, -1e-4, float("nan"), float("inf")])
+def test_retrieval_trainers_reject_a_rate_that_is_not_finite_and_positive(value):
+    message = f"^lr must be finite and > 0, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        InfoNCEConfig(lr=value)
+    model = build_model(ModelConfig("retrieval_mixer", d_model=4, n_layers=1, n_ctx=4, vocab=3), seed=0)
+    before = {n: p.data.copy() for n, p in model.params.items()}
+    with pytest.raises(ValueError, match=message):
+        train_indirect(model, toy_store(n=16, d=4), toy_store(n=16, d=4), steps=2, batch_size=2, lr=value)
+    for n, p in model.params.items():
+        assert np.array_equal(p.data, before[n]), n
+
+
 # ---------------------------------------------------------------------------
 # top-k retrieval
 

@@ -483,6 +483,145 @@ def test_feed_forward_rejects_shapes_that_do_not_chain():
         T.feed_forward(x, gain, bias, w1, b1, t64(np.zeros((16, 3))), b2)
 
 
+# ---------------------------------------------------------------------------
+# the two token-mixing sublayers, one node each, against the chains they replace
+
+def conv_sublayer_chain(x, gain, bias, w, mask):
+    """Oracle: layer_norm, masked_conv1d and the residual add as separate nodes."""
+    return T.add(x, T.masked_conv1d(T.layer_norm(x, gain, bias), w, mask))
+
+
+def attention_sublayer_chain(x, gain, bias, wq, wk, wv, wo, allowed, cos, sin, n_heads):
+    """Oracle: layer_norm, per-projection matmul, reshape and swapaxes, two ropes, attention, merge, wo, add."""
+    h = T.layer_norm(x, gain, bias)
+    heads_shape = x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)
+
+    def split(w):
+        return T.swapaxes(T.reshape(T.matmul(h, w), heads_shape), -3, -2)
+
+    q, k, v = T.rope(split(wq), cos, sin), T.rope(split(wk), cos, sin), split(wv)
+    heads = T.attention(q, k, v, np.asarray(allowed)[..., None, :, :])
+    return T.add(x, T.matmul(T.reshape(T.swapaxes(heads, -3, -2), x.shape), wo))
+
+
+def sublayer_mask(direction, shape):
+    """(S, S) 0/1 mask of a direction, or "pad": causal with the last sequence's final two keys pads."""
+    s = shape[-2]
+    if direction == "pad":
+        batch = shape[0] if len(shape) == 3 else 1
+        allowed = causal_pad_mask(batch, s)[:, 0]
+        return allowed if len(shape) == 3 else allowed[0]
+    return {"forward": np.tril, "reverse": np.triu, "none": lambda m: m}[direction](np.ones((s, s)))
+
+
+def conv_sublayer_inputs(rng, shape, kernel_k, dtype):
+    s, d = shape[-2:]
+    arrays = [rng.normal(size=shape), 1.0 + 0.1 * rng.normal(size=d), 0.1 * rng.normal(size=d),
+              rng.normal(size=(s, s, kernel_k)) / np.sqrt(s * kernel_k)]
+    return [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+
+
+def attention_sublayer_inputs(rng, shape, dtype):
+    d = shape[-1]
+    arrays = [rng.normal(size=shape), 1.0 + 0.1 * rng.normal(size=d), 0.1 * rng.normal(size=d)]
+    arrays += [rng.normal(size=(d, d)) / np.sqrt(d) for _ in range(4)]
+    return [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+
+
+def assert_node_matches_chain(node, chain, inputs, rng):
+    """Output and every input gradient bit for bit, behind a head product whose gradient may reach the node F-ordered."""
+    dtype, shape = inputs[0].dtype, inputs[0].shape
+    head = Tensor(rng.normal(size=(shape[-1], 3)).astype(dtype))
+    probe = rng.normal(size=shape[:-1] + (3,)).astype(dtype)
+    got = outputs_and_grads(lambda *a: T.matmul(node(*a), head), inputs, probe)
+    want = outputs_and_grads(lambda *a: T.matmul(chain(*a), head), inputs, probe)
+    assert node(*inputs).data.tobytes() == chain(*inputs).data.tobytes()
+    for g, w in zip(got, want):
+        assert g.dtype == dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("direction", ["forward", "reverse", "none"])
+@pytest.mark.parametrize("kernel_k", [1, 3])
+@pytest.mark.parametrize("shape", [(6, 8), (3, 6, 8), (2, 22, 16)])
+def test_conv_sublayer_matches_its_chain_bit_for_bit(dtype, direction, kernel_k, shape):
+    rng = np.random.default_rng(31)
+    inputs = conv_sublayer_inputs(rng, shape, kernel_k, dtype)
+    mask = sublayer_mask(direction, shape)
+    assert_node_matches_chain(
+        lambda *a: T.conv_sublayer(*a, mask), lambda *a: conv_sublayer_chain(*a, mask), inputs, rng
+    )
+
+
+def test_conv_sublayer_takes_softmax_weights_bit_for_bit():
+    """The softmax-transformed weights are a graph input whose gradient flows on to the raw weights."""
+    rng = np.random.default_rng(32)
+    x, gain, bias, w = conv_sublayer_inputs(rng, (3, 6, 8), 2, np.float32)
+    mask = sublayer_mask("forward", (6, 8))
+    assert_node_matches_chain(
+        lambda *a: T.conv_sublayer(*a[:3], T.softmax_conv_weights(a[3], mask), mask),
+        lambda *a: conv_sublayer_chain(*a[:3], T.softmax_conv_weights(a[3], mask), mask),
+        [x, gain, bias, w], rng,
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("direction", ["forward", "reverse", "none", "pad"])
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("shape", [(6, 16), (3, 6, 16), (4, 22, 64)])
+def test_attention_sublayer_matches_its_chain_bit_for_bit(dtype, direction, n_heads, shape):
+    rng = np.random.default_rng(33)
+    inputs = attention_sublayer_inputs(rng, shape, dtype)
+    allowed = sublayer_mask(direction, shape)
+    cos, sin = rope_tables(shape[-2], shape[-1] // n_heads, dtype)
+    assert_node_matches_chain(
+        lambda *a: T.attention_sublayer(*a, allowed, cos, sin, n_heads),
+        lambda *a: attention_sublayer_chain(*a, allowed, cos, sin, n_heads),
+        inputs, rng,
+    )
+
+
+@pytest.mark.parametrize("wrt", range(4))
+def test_conv_sublayer_grad_matches_finite_differences(wrt):
+    rng = np.random.default_rng(34 + wrt)
+    inputs = conv_sublayer_inputs(rng, (2, 4, 5), 2, np.float64)
+    mask = sublayer_mask("forward", (4, 5))
+    probe = t64(rng.normal(size=(2, 4, 5)))
+
+    def f(t):
+        args = list(inputs)
+        args[wrt] = t
+        return T.tsum(T.mul(T.conv_sublayer(*args, mask), probe))
+
+    assert grad_check(f, t64(inputs[wrt].data.copy(), requires_grad=True)) <= 1e-6
+
+
+@pytest.mark.parametrize("wrt", range(7))
+def test_attention_sublayer_grad_matches_finite_differences(wrt):
+    rng = np.random.default_rng(38 + wrt)
+    inputs = attention_sublayer_inputs(rng, (2, 4, 8), np.float64)
+    allowed = sublayer_mask("pad", (2, 4, 8))
+    cos, sin = rope_tables(4, 4, np.float64)
+    probe = t64(rng.normal(size=(2, 4, 8)))
+
+    def f(t):
+        args = list(inputs)
+        args[wrt] = t
+        return T.tsum(T.mul(T.attention_sublayer(*args, allowed, cos, sin, 2), probe))
+
+    assert grad_check(f, t64(inputs[wrt].data.copy(), requires_grad=True)) <= 1e-6
+
+
+def test_attention_sublayer_rejects_shapes_that_do_not_chain():
+    x, gain, bias, wq, wk, wv, wo = attention_sublayer_inputs(np.random.default_rng(45), (2, 4, 8), np.float64)
+    cos, sin = rope_tables(4, 4, np.float64)
+    with pytest.raises(T.ShapeError, match=r"wo \(8, 4\)"):
+        T.attention_sublayer(x, gain, bias, wq, wk, wv, t64(np.zeros((8, 4))), np.ones((4, 4)), cos, sin, 2)
+    with pytest.raises(T.ShapeError, match="3 heads"):
+        T.attention_sublayer(x, gain, bias, wq, wk, wv, wo, np.ones((4, 4)), cos, sin, 3)
+
+
 def graph_nodes(loss):
     """Graph nodes a backward from `loss` visits."""
     seen, todo, nodes = set(), [loss], 0
@@ -495,9 +634,9 @@ def graph_nodes(loss):
     return nodes
 
 
-@pytest.mark.parametrize("family,nodes", [("masked_mixer", 14), ("transformer", 42)])
+@pytest.mark.parametrize("family,nodes", [("masked_mixer", 10), ("transformer", 10)])
 def test_clm_backward_graph_nodes(family, nodes):
-    """One CLM step visits one node per block op: the feed-forward sublayer is one of them."""
+    """One CLM step visits two nodes per block, its token-mixing and feed-forward sublayers."""
     model = build_model(ModelConfig(family, d_model=64, n_layers=2, n_ctx=22, n_heads=1 if family == "masked_mixer" else 4))
     ids = np.random.default_rng(30).integers(0, 256, size=(4, 22))
     assert graph_nodes(batch_loss(model, ids, TrainConfig(objective="clm"))) == nodes
@@ -513,6 +652,29 @@ def test_embedding_lookup_grad_scatters():
     assert np.allclose(wte.grad[:, 3], 2.0)
     assert np.allclose(wte.grad[:, 0], 1.0)
     assert np.allclose(wte.grad[:, 1], 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ids_shape", [(40,), (5, 8), (2, 4, 5)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_embedding_lookup_grad_matches_strided_scatter_bit_for_bit(dtype, ids_shape, order):
+    """Against the scatter into the transposed gradient that the flat scatter replaced.
+
+    Six ids over 40 rows repeat many times, and gradient entries spread over
+    six orders of magnitude, so adding a column's rows in another order
+    would round differently.
+    """
+    rng = np.random.default_rng(46)
+    d, vocab = 7, 6
+    wte = Tensor(rng.normal(size=(d, vocab)).astype(dtype), requires_grad=True)
+    ids = rng.integers(0, vocab, size=ids_shape)
+    g = rng.normal(size=ids_shape + (d,)) * 10.0 ** rng.uniform(-3, 3, size=ids_shape + (d,))
+    g = np.asarray(g.astype(dtype), order=order)
+    want = np.zeros((d, vocab), dtype=dtype)
+    np.add.at(want.T, ids.reshape(-1), g.reshape(-1, d))
+    (got,) = T.embedding_lookup(wte, ids)._backward(g)
+    assert got.dtype == dtype and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 def test_embedding_lookup_rejects_bad_ids():

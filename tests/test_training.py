@@ -1,5 +1,7 @@
 """Objective contracts, optimizer identities, and smoke convergence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,18 @@ def test_grad_clip_preserves_dtype():
 def test_train_config_rejects_a_grad_clip_that_is_not_positive(value):
     with pytest.raises(ValueError, match="grad_clip must be > 0"):
         TrainConfig(grad_clip=value)
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_a_rate_that_is_not_finite_and_positive(value):
+    with pytest.raises(ValueError, match=re.escape(f"lr must be finite and > 0, got {value}")):
+        TrainConfig(lr=value)
+
+
+@pytest.mark.parametrize("value", [-0.01, float("nan"), float("inf")])
+def test_train_config_rejects_a_weight_decay_that_is_not_finite_and_non_negative(value):
+    with pytest.raises(ValueError, match=re.escape(f"weight_decay must be finite and >= 0, got {value}")):
+        TrainConfig(weight_decay=value)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +318,9 @@ def test_nan_loss_aborts_with_last_good_state():
 
 def test_divergence_names_a_non_finite_loss():
     model = build_model(mixer_cfg(), seed=5)
-    # an infinite rate makes every parameter non-finite at step 0, so step 1's loss is NaN
-    cfg = TrainConfig(objective="clm", steps=5, batch_size=8, lr=np.inf, eval_every=100, seed=0)
+    # a rate beyond float32's range is infinite in the float32 update, which makes
+    # every parameter non-finite at step 0, so step 1's loss is NaN
+    cfg = TrainConfig(objective="clm", steps=5, batch_size=8, lr=1e300, eval_every=100, seed=0)
     with pytest.raises(TrainingDiverged, match="at step 1: non-finite loss;"), np.errstate(all="ignore"):
         train(model, repeated_corpus(), cfg)
 
@@ -315,7 +330,7 @@ def test_divergence_names_the_first_non_finite_parameter():
     before = {n: p.data.copy() for n, p in model.params.items()}
     for name, p in model.params.items():
         p.requires_grad = name in ("blocks.1.ff.b2", "lm_head")  # lm_head comes later in the model's order
-    cfg = TrainConfig(objective="clm", steps=5, batch_size=8, lr=np.inf, eval_every=1, seed=0)
+    cfg = TrainConfig(objective="clm", steps=5, batch_size=8, lr=1e300, eval_every=1, seed=0)
     with pytest.raises(TrainingDiverged, match="at step 0: non-finite parameter blocks.1.ff.b2;"), np.errstate(all="ignore"):
         train(model, repeated_corpus(), cfg)
     for n, p in model.params.items():
