@@ -229,6 +229,8 @@ def _holdout(args, n):
 
 
 def _run_indirect(args):
+    if args.candidates < 2:  # the query row and at least one candidate
+        raise ValueError(f"candidates must be >= 2, got {args.candidates}")
     store = load_embedding_store(args.embeddings)
     holdout = _holdout(args, len(store))
     train_store, eval_store = normalize_store(store, holdout=holdout, dim=args.pca_dim)

@@ -58,9 +58,6 @@ class TokenSequence:
     def __len__(self):
         return len(self.ids)
 
-    def nonpad(self):
-        return self.ids[self.ids != PAD_ID]
-
 
 def _pad(ids, n_ctx, side):
     """The first n_ctx ids of a list as an int32 array, filled to n_ctx with PAD_ID on `side`."""

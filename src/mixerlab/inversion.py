@@ -17,6 +17,7 @@ from . import tensor as T
 from .data import PAD_ID
 from .models import _as_ids, forward_from_embedding
 from .tensor import Tensor, backward, pinv
+from .training import _check_positive, _check_rate
 
 INIT_MEAN = 0.5  # the first iterate is INIT_MEAN + N(0, INIT_STD^2) in every coordinate
 INIT_STD = 1.0 / 20.0
@@ -32,10 +33,10 @@ class InversionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_iters < 1:
-            raise ValueError("n_iters must be >= 1")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        _check_positive(self, "n_iters")
+        _check_rate("eta", self.eta)
+        if not (np.isfinite(self.calib_noise_std) and self.calib_noise_std >= 0):
+            raise ValueError(f"calib_noise_std must be finite and >= 0, got {self.calib_noise_std}")
 
     def eta_at(self, n):
         """Linear schedule from eta down to eta/10 across the run."""
@@ -84,13 +85,13 @@ def write_csv(path, reports):
             writer.writerow(csv_row(r))
 
 
-def normalized_hamming(x, y, pad_id=PAD_ID):
+def normalized_hamming(x, y):
     """Fraction of non-pad positions of x where y disagrees."""
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    keep = x != pad_id
+    keep = x != PAD_ID
     if not keep.any():
         return 0.0
     return float(np.sum(x[keep] != y[keep]) / keep.sum())

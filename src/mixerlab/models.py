@@ -511,8 +511,5 @@ def embedding_graph(model, tokens):
 
 
 def intertoken_param_count(cfg):
-    """Closed-form count of token-mixing parameters (weights, before masking)."""
-    s, k = cfg.n_ctx, cfg.kernel_k
-    per_layer = cfg.n_heads * k * s * s if cfg.expansion == 1 else 2 * 2 * k * s * s
-    stacks = 2 if cfg.topology in ("bidirectional", "autoencoder") else 1
-    return cfg.n_layers * per_layer * stacks
+    """Token-mixing parameters (the mixers' convolution weights, before masking); 0 for transformer blocks."""
+    return sum(int(np.prod(shape)) for name, shape, _ in _param_specs(cfg) if ".mix.conv" in name)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import PAD_ID
-from .models import _as_ids, embedding_graph, retrieval_mixer_forward, sequence_embedding
+from .models import _as_ids, _nth_last_nonpad, embedding_graph, retrieval_mixer_forward, sequence_embedding
 from .tensor import Tensor
 from .training import TrainConfig, _check_positive, _check_rate, _run_steps
 
@@ -51,15 +51,12 @@ class RetrievalBatch:
     """One candidate set: row 0 is the query, row m holds the true target."""
 
     a: np.ndarray
-    q: np.ndarray
     m: int
 
     def __post_init__(self):
         c = self.a.shape[0]
         if not 1 <= self.m <= c - 1:
             raise ValueError(f"match index {self.m} outside [1, {c - 1}]")
-        if self.q.shape != (c,) or self.q[self.m] != 1 or self.q.sum() != 1:
-            raise ValueError("label must be one-hot at the match index")
 
 
 @dataclass(frozen=True)
@@ -73,11 +70,8 @@ class InfoNCEConfig:
     eval_every: int = 100
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.negatives < 1:
-            raise ValueError("need at least one negative")
-        _check_positive(self, "steps", "eval_every", "batches_per_update")
+        _check_rate("tau", self.tau)
+        _check_positive(self, "negatives", "steps", "eval_every", "batches_per_update")
         _check_rate("lr", self.lr)
 
 
@@ -94,14 +88,11 @@ def embed_corpus(model, sequences):
     skipped, kept, ids = {}, [], []
     for i, seq in enumerate(sequences):
         try:
-            one = _as_ids(seq, model.config)
-            if one.ndim != 1:
-                raise ValueError(f"expected one sequence, got shape {one.shape}")
+            ids.append(_one_ids(seq, model.config))
         except ValueError as e:
             skipped[i] = e
             continue
         kept.append(i)
-        ids.append(one)
     if ids:
         ids = np.stack(ids)
         short = np.sum(ids != PAD_ID, axis=1) < 2
@@ -116,6 +107,23 @@ def embed_corpus(model, sequences):
     return _embed_rows(model, ids), kept
 
 
+def _one_ids(seq, cfg):
+    """The (n_ctx,) ids of one sequence; ValueError unless it is one sequence of n_ctx tokens."""
+    ids = _as_ids(seq, cfg)
+    if ids.ndim != 1:
+        raise ValueError(f"expected one sequence, got shape {ids.shape}")
+    return ids
+
+
+def _id_stack(seqs, cfg):
+    """The (len(seqs), n_ctx) ids of a sequence list, each checked as the embedding would check it."""
+    ids = np.stack([_one_ids(s, cfg) for s in seqs])
+    _nth_last_nonpad(ids, 2)
+    if ids.min() < 0 or ids.max() >= cfg.vocab:
+        raise ValueError(f"token id out of range for vocab {cfg.vocab}")
+    return ids
+
+
 def _embed_rows(model, ids):
     """sequence_embedding over a (batch, n_ctx) id array, EMBED_CHUNK sequences per forward."""
     return np.concatenate([sequence_embedding(model, ids[i:i + EMBED_CHUNK]) for i in range(0, len(ids), EMBED_CHUNK)])
@@ -125,14 +133,7 @@ def embed_pair_store(model, query_seqs, target_seqs, model_id=""):
     """EmbeddingStore from paired sequences; a skip on either side drops the pair."""
     q_rows, q_idx = embed_corpus(model, query_seqs)
     t_rows, t_idx = embed_corpus(model, target_seqs)
-    common = sorted(set(q_idx) & set(t_idx))
-    qmap = {i: r for i, r in zip(q_idx, q_rows)}
-    tmap = {i: r for i, r in zip(t_idx, t_rows)}
-    return EmbeddingStore(
-        queries=np.stack([qmap[i] for i in common]) if common else np.zeros((0, model.config.d_model)),
-        targets=np.stack([tmap[i] for i in common]) if common else np.zeros((0, model.config.d_model)),
-        source_model_id=model_id,
-    )
+    return EmbeddingStore(q_rows[np.isin(q_idx, t_idx)], t_rows[np.isin(t_idx, q_idx)], source_model_id=model_id)
 
 
 def split_store(store, holdout):
@@ -224,14 +225,12 @@ def sample_retrieval_batch(store, n, c, rng):
     a[1:] = store.targets[r]
     m = int(rng.integers(1, c))
     a[m] = store.targets[n]
-    q = np.zeros(c, dtype=np.int64)
-    q[m] = 1
-    return RetrievalBatch(a=a, q=q, m=m)
+    return RetrievalBatch(a=a, m=m)
 
 
-def sample_sequence_batch(target_seqs, n, count, rng):
-    """Token-level analogue: `count` negative target sequences for pair n."""
-    return [target_seqs[j] for j in _others(len(target_seqs), n, count, rng).tolist()]
+def sample_sequence_batch(target_ids, n, count, rng):
+    """Token-level analogue: the (count, n_ctx) ids of `count` negative targets for pair n."""
+    return target_ids[_others(len(target_ids), n, count, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,32 +240,29 @@ def train_indirect(model, store, eval_store, steps=200, batch_size=16, lr=1e-4, 
     """Cross-entropy training of the scoring model over frozen embeddings.
 
     The match-detection circuit sits behind a long optimization plateau, so
-    the learning rate stays constant.
+    the learning rate stays constant. Every eval point scores one candidate
+    set per eval pair, drawn once from `seed + 1`.
     """
     _check_rate("lr", lr)
+    run_cfg = TrainConfig(steps=steps, batch_size=batch_size, eval_every=eval_every)
     c = model.config.n_ctx
     rng = np.random.default_rng(seed)
+    eval_rng = np.random.default_rng(seed + 1)
+    eval_sets = [sample_retrieval_batch(eval_store, n, c, eval_rng) for n in range(len(eval_store))]
 
     def set_loss(batches):
         logits, _ = retrieval_mixer_forward(model, Tensor(np.stack([b.a for b in batches]).astype(model.dtype)))
         return T.cross_entropy(logits, [b.m for b in batches])
 
     def step_loss():
-        batches = []
-        for _ in range(batch_size):
-            n = int(rng.integers(0, len(store)))
-            batches.append(sample_retrieval_batch(store, n, c, rng))
-        return set_loss(batches)
+        return set_loss([sample_retrieval_batch(store, int(rng.integers(0, len(store))), c, rng) for _ in range(batch_size)])
 
     def eval_ce():
-        eval_rng = np.random.default_rng(seed + 1)
-        batches = [sample_retrieval_batch(eval_store, n, c, eval_rng) for n in range(len(eval_store))]
         with T.no_grad():
-            return set_loss(batches).item()
+            return set_loss(eval_sets).item()
 
     return _run_steps(
-        model, TrainConfig(steps=steps, eval_every=eval_every), lr_at=lambda step: lr, step_loss=step_loss,
-        eval_loss=eval_ce, tokens_per_step=batch_size * c,
+        model, run_cfg, lr_at=lambda step: lr, step_loss=step_loss, eval_loss=eval_ce, tokens_per_step=batch_size * c,
     )
 
 
@@ -278,9 +274,10 @@ def infonce_loss(q_emb, pos_emb, neg_embs, tau=0.02):
 
     q_emb and pos_emb are (d,) rows and neg_embs a list of (d,) rows, or
     one tensor of shape (N, d). With a leading batch axis, (B, d), (B, d)
-    and (B, N, d), the result is the mean loss over the batch. Evaluated
-    in log space: at tau = 0.02 the raw exponentials overflow, the
-    log-sum-exp form is exact.
+    and (B, N, d), the result is the mean loss over the batch. The loss is
+    the softmax cross-entropy of the positive among the 1 + N cosine
+    logits, which `cross_entropy` evaluates in log space: at tau = 0.02
+    the raw exponentials overflow.
     """
     if isinstance(neg_embs, (list, tuple)):
         neg_embs = T.concat([T.reshape(n, n.data.shape[:-1] + (1, n.data.shape[-1])) for n in neg_embs], axis=-2)
@@ -293,10 +290,8 @@ def infonce_loss(q_emb, pos_emb, neg_embs, tau=0.02):
     if np.any(qn.data == 0.0) or np.any(cn.data == 0.0):
         raise ValueError("cosine similarity undefined for a zero-norm vector")
     sims = T.mul(T.div(num, T.mul(qn, cn)), 1.0 / tau)  # (..., 1 + N), the positive first
-    peak = Tensor(np.max(sims.data, axis=-1, keepdims=True))
-    lse = T.add(T.log(T.tsum(T.exp(T.add(sims, T.neg(peak))), axis=-1, keepdims=True)), peak)
-    losses = T.tsum(T.add(lse, T.neg(T.narrow(sims, -1, 0, 1))), axis=-1)
-    return T.mean(losses) if losses.data.ndim else losses
+    logits = T.reshape(sims, (-1, sims.data.shape[-1]))
+    return T.cross_entropy(logits, np.zeros(logits.data.shape[0], dtype=np.int64))
 
 
 def train_infonce(model, pair_corpus, cfg, eval_pairs=None):
@@ -307,7 +302,8 @@ def train_infonce(model, pair_corpus, cfg, eval_pairs=None):
     queries, positives and negatives of all its examples in one forward
     pass. The eval loss scores every `eval_pairs` query against its target
     and `cfg.negatives` other eval targets, so the eval set needs more
-    pairs than that.
+    pairs than that. Every sequence is checked and stacked into ids once,
+    before the first step, and the eval negatives are drawn once.
     """
     query_seqs, target_seqs = pair_corpus
     if len(query_seqs) != len(target_seqs):
@@ -322,29 +318,30 @@ def train_infonce(model, pair_corpus, cfg, eval_pairs=None):
             raise ValueError(
                 f"need at least {cfg.negatives + 1} eval pairs for {cfg.negatives} negatives, got {len(et)}"
             )
-    rng = np.random.default_rng(cfg.seed)
     cfg_m = model.config
+    q_ids, t_ids = _id_stack(query_seqs, cfg_m), _id_stack(target_seqs, cfg_m)
+    if eval_pairs is not None:
+        eq_ids, et_ids = _id_stack(eq, cfg_m), _id_stack(et, cfg_m)
+        eval_rng = np.random.default_rng(cfg.seed + 1)
+        eval_negs = np.array([_others(len(et_ids), n, cfg.negatives, eval_rng) for n in range(len(eq_ids))])
+    rng = np.random.default_rng(cfg.seed)
     width = 2 + cfg.negatives  # query, positive, negatives
 
     def step_loss():
-        rows = []
+        ids = []
         for _ in range(cfg.batches_per_update):
-            n = int(rng.integers(0, len(query_seqs)))
-            rows += [query_seqs[n], target_seqs[n], *sample_sequence_batch(target_seqs, n, cfg.negatives, rng)]
-        ids = np.stack([_as_ids(r, cfg_m) for r in rows])
-        embs = T.reshape(embedding_graph(model, ids), (cfg.batches_per_update, width, cfg_m.d_model))
+            n = int(rng.integers(0, len(q_ids)))
+            ids += [q_ids[n:n + 1], t_ids[n:n + 1], sample_sequence_batch(t_ids, n, cfg.negatives, rng)]
+        embs = T.reshape(embedding_graph(model, np.concatenate(ids)), (cfg.batches_per_update, width, cfg_m.d_model))
         q, pos = (T.reshape(T.narrow(embs, 1, i, 1), (cfg.batches_per_update, cfg_m.d_model)) for i in (0, 1))
         return infonce_loss(q, pos, T.narrow(embs, 1, 2, cfg.negatives), cfg.tau)
 
     def eval_loss():
         if eval_pairs is None:
             return float("nan")
-        eval_rng = np.random.default_rng(cfg.seed + 1)
-        negs = [_others(len(et), n, cfg.negatives, eval_rng) for n in range(len(eq))]
-        q = _embed_rows(model, np.stack([_as_ids(s, cfg_m) for s in eq]))
-        t = _embed_rows(model, np.stack([_as_ids(s, cfg_m) for s in et]))
+        q, t = _embed_rows(model, eq_ids), _embed_rows(model, et_ids)
         with T.no_grad():
-            return infonce_loss(Tensor(q), Tensor(t), Tensor(t[np.array(negs)]), cfg.tau).item()
+            return infonce_loss(Tensor(q), Tensor(t), Tensor(t[eval_negs]), cfg.tau).item()
 
     run_cfg = TrainConfig(steps=cfg.steps, eval_every=cfg.eval_every)
     return _run_steps(

@@ -28,6 +28,8 @@ PINV_RCOND = 1e-10  # pinv zeroes singular values below PINV_RCOND * sigma_max
 
 LN_EPS = 1e-5  # added to each row's variance by layer_norm and the three sublayer nodes
 
+GRAD_CHECK_H = 1e-5  # grad_check's central-difference step
+
 _creation_counter = itertools.count()
 
 _local = threading.local()  # graphs are thread-confined; so is the grad switch
@@ -452,8 +454,6 @@ def shift(a, axis, offset):
 
     Positive offset moves content toward higher indices.
     """
-    if offset == 0:
-        return _make(a.data.copy(), (a,), lambda g: (g,))
     n = a.data.shape[axis]
     k = abs(offset)
     if k >= n:
@@ -510,12 +510,12 @@ def _row_mean(a):
     return s
 
 
-def _layer_norm_fwd(x, gain, bias, eps):
+def _layer_norm_fwd(x, gain, bias):
     """(output, xhat, 1/sigma) of layer_norm on arrays; allocates only those and the row means."""
     xhat = x - _row_mean(x)
     out = np.multiply(xhat, xhat)
     inv = _row_mean(out)
-    inv += eps
+    inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
@@ -540,7 +540,7 @@ def _layer_norm_grads(g, gain, bias, xhat, inv, needs):
     )
 
 
-def layer_norm(x, gain, bias, eps=LN_EPS):
+def layer_norm(x, gain, bias):
     """Per-row normalization over the last axis with learned gain and bias.
 
     One graph node: the backward is the closed form of the normalization's
@@ -550,7 +550,7 @@ def layer_norm(x, gain, bias, eps=LN_EPS):
     array (which becomes the output) and the per-row statistics.
     """
     _check_same_dtype(x, gain, bias)
-    out, xhat, inv = _layer_norm_fwd(x.data, gain.data, bias.data, eps)
+    out, xhat, inv = _layer_norm_fwd(x.data, gain.data, bias.data)
     needs = (x.requires_grad, gain.requires_grad, bias.requires_grad)
     return _make(out, (x, gain, bias), lambda g: _layer_norm_grads(g, gain, bias, xhat, inv, needs))
 
@@ -573,7 +573,7 @@ def feed_forward(x, gain, bias, w1, b1, w2, b2):
             f"feed_forward shapes do not chain: x {x.data.shape}, w1 {w1.data.shape}, b1 {b1.data.shape}, "
             f"w2 {w2.data.shape}, b2 {b2.data.shape}"
         )
-    h, xhat, inv = _layer_norm_fwd(x.data, gain.data, bias.data, LN_EPS)
+    h, xhat, inv = _layer_norm_fwd(x.data, gain.data, bias.data)
     rows = h.reshape(-1, d)
     z = (rows @ w1.data).reshape(x.data.shape[:-1] + (hidden,))
     z += b1.data
@@ -713,7 +713,7 @@ def attention_sublayer(x, gain, bias, wq, wk, wv, wo, allowed, cos, sin, n_heads
             f"wq {wq.data.shape}, wk {wk.data.shape}, wv {wv.data.shape}, wo {wo.data.shape}"
         )
     heads_shape = shape[:-1] + (n_heads, d // n_heads)  # (..., S, H, d_head)
-    h, xhat, inv = _layer_norm_fwd(x.data, gain.data, bias.data, LN_EPS)
+    h, xhat, inv = _layer_norm_fwd(x.data, gain.data, bias.data)
     rows = h.reshape(-1, d)
 
     def split(w):
@@ -881,7 +881,7 @@ def conv_sublayer(x, gain, bias, w, mask):
     chain's order.
     """
     _check_same_dtype(x, gain, bias, w)
-    h, xhat, inv = _layer_norm_fwd(x.data, gain.data, bias.data, LN_EPS)
+    h, xhat, inv = _layer_norm_fwd(x.data, gain.data, bias.data)
     out, flat_w, taps, m = _conv_fwd(h, w.data, mask)
     out += x.data
     needs = (x.requires_grad, gain.requires_grad, bias.requires_grad, w.requires_grad)
@@ -961,7 +961,7 @@ def backward(loss):
 # ---------------------------------------------------------------------------
 # validation harness
 
-def grad_check(f, x, h=1e-5):
+def grad_check(f, x):
     """Max relative error between analytic and central-difference gradients.
 
     `f` maps a Tensor to a scalar Tensor; `x` must be float64 (check64).
@@ -978,14 +978,14 @@ def grad_check(f, x, h=1e-5):
     num_flat = numeric.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + GRAD_CHECK_H
         with no_grad():
             up = f(x).item()
-        flat[i] = orig - h
+        flat[i] = orig - GRAD_CHECK_H
         with no_grad():
             down = f(x).item()
         flat[i] = orig
-        num_flat[i] = (up - down) / (2.0 * h)
+        num_flat[i] = (up - down) / (2.0 * GRAD_CHECK_H)
 
     denom = np.abs(analytic) + np.abs(numeric) + 1e-12
     return float(np.max(np.abs(analytic - numeric) / denom))
@@ -995,18 +995,16 @@ def grad_check(f, x, h=1e-5):
 # linear algebra and sampling utilities (no graph participation)
 
 def pinv(w):
-    """Moore-Penrose pseudoinverse via SVD with singular-value cutoff.
+    """Moore-Penrose pseudoinverse of an array via SVD with singular-value cutoff.
 
     Singular values below PINV_RCOND * sigma_max are zeroed, which realizes the
     ridge-regularized inverse in its zero-regularization limit while staying
     rank-deficiency safe.
     """
-    a = w.data if isinstance(w, Tensor) else np.asarray(w)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    u, s, vt = np.linalg.svd(np.asarray(w), full_matrices=False)
     cutoff = PINV_RCOND * (s.max() if s.size else 0.0)
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    result = (vt.T * inv_s) @ u.T
-    return Tensor(result) if isinstance(w, Tensor) else result
+    return (vt.T * inv_s) @ u.T
 
 
 def multinomial_sample(weights, count, rng):

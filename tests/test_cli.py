@@ -425,13 +425,21 @@ def test_grad_clip_zero_disables_clipping(tmp_path, corpus_file, monkeypatch):
     assert seen == [None]
 
 
-COUNT_CASES = {  # case: (a count it cannot run, the error naming it, the artifact it must not write)
+COUNT_CASES = {  # case: (a count or rate it cannot run, the error naming it, the artifact it must not write)
     "invert": (["--runs", "0"], "runs must be >= 1, got 0", "inversion.csv"),
     "retrieve-eval": (["--trials", "0"], "trials must be >= 1, got 0", "accuracy.csv"),
     "retrieve-eval/sizes=1": (["--sizes", "32,1"], "sizes must be >= 2, got 1", "accuracy.csv"),
     "retrieve-eval/sizes=0": (["--sizes", "0"], "sizes must be >= 2, got 0", "accuracy.csv"),
     "retrieve-eval/sizes=-3": (["--sizes", "-3"], "sizes must be >= 2, got -3", "accuracy.csv"),
     "generate": (["--n-new", "-1"], "n_new must be >= 0, got -1", "generation.txt"),
+    "invert/n-iters=0": (["--n-iters", "0"], "n_iters must be >= 1, got 0", "inversion.csv"),
+    "train-retrieval-infonce/negatives=0": (["--negatives", "0"], "negatives must be >= 1, got 0", "model.ckpt"),
+    "invert/eta=nan": (["--eta", "nan"], "eta must be finite and > 0, got nan", "inversion.csv"),
+    "invert/eta=inf": (["--eta", "inf"], "eta must be finite and > 0, got inf", "inversion.csv"),
+    "invert/eta=0": (["--eta", "0"], "eta must be finite and > 0, got 0.0", "inversion.csv"),
+    "train-retrieval-infonce/tau=nan": (["--tau", "nan"], "tau must be finite and > 0, got nan", "model.ckpt"),
+    "train-retrieval-infonce/tau=inf": (["--tau", "inf"], "tau must be finite and > 0, got inf", "model.ckpt"),
+    "train-retrieval-infonce/tau=-1": (["--tau", "-1"], "tau must be finite and > 0, got -1.0", "model.ckpt"),
 }
 
 
@@ -460,6 +468,9 @@ def test_count_it_cannot_run_exit_1_names_value(tmp_path, capsys, case):
         ("train-clm", "--d-model", "-4", "d_model must be >= 1, got -4"),
         ("train-retrieval-indirect", "--pca-dim", "-2", "pca_dim must be >= 1, got -2"),
         ("train-retrieval-indirect", "--pca-dim", "0", "pca_dim must be >= 1, got 0"),
+        ("train-retrieval-indirect", "--batch-size", "0", "batch_size must be >= 1, got 0"),
+        ("train-retrieval-indirect", "--candidates", "1", "candidates must be >= 2, got 1"),
+        ("train-retrieval-indirect", "--candidates", "0", "candidates must be >= 2, got 0"),
     ],
 )
 def test_model_size_it_cannot_run_exit_1_names_field(tmp_path, corpus_file, capsys, command, flag, value, message):

@@ -6,14 +6,18 @@ than its own definition: as a name, an attribute or an import in any
 Python file under src/, tests/ or demos/, or anywhere in pyproject.toml.
 A dataclass field counts as read when some Python file under src/,
 tests/, demos/ or bench/ loads it as an attribute (`x.field`); a field
-that is only ever assigned is dead output. A module-level import counts as
-used when the name it binds appears as a name in the same file; the
-package's `__init__.py` is exempt, since its imports are re-exports.
+that is only ever assigned is dead output. A defaulted parameter of a
+public function or method counts as set when some call of that name in
+those four trees passes it, by keyword or by position; one nothing passes
+is a setting no caller chooses, better kept as a module constant. A
+module-level import counts as used when the name it binds appears as a
+name in the same file; the package's `__init__.py` is exempt, since its
+imports are re-exports.
 """
 
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,3 +97,47 @@ def test_every_module_level_import_is_used():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 unused += [f"{path.relative_to(ROOT)}:{node.lineno} {name}" for name in _bound_names(node) if name not in used]
     assert not unused, "imports nothing uses: " + ", ".join(unused)
+
+
+def _public_functions(tree):
+    """(function node, leading parameters its callers do not pass) of every public function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node, 0
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                    yield fn, 0 if static else 1
+
+
+def _passes(call, name, index):
+    """Whether `call` passes parameter `name`, which is positional number `index` or keyword-only (None).
+
+    A `**kwargs` argument may pass any keyword. A `*args` argument is taken
+    to fill no more than one position: `f(x, *pair)` does not reach a
+    fourth parameter by this count.
+    """
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_of_a_public_function_is_passed():
+    paths = [path for d in ("src", "tests", "demos", "bench") for path in sorted((ROOT / d).rglob("*.py"))]
+    calls = defaultdict(list)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                calls[callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)].append(node)
+    unpassed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn, skip in _public_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            positional = (fn.args.posonlyargs + fn.args.args)[skip:]
+            defaulted = [(a.arg, i) for i, a in enumerate(positional)][len(positional) - len(fn.args.defaults):]
+            defaulted += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            for name, index in defaulted:
+                if not any(_passes(call, name, index) for call in calls[fn.name]):
+                    unpassed.append(f"{path.name}:{fn.lineno} {fn.name}({name}=)")
+    assert not unpassed, "defaulted parameters no call passes: " + ", ".join(unpassed)

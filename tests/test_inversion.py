@@ -159,6 +159,25 @@ def test_schedule_endpoints():
     assert InversionConfig(n_iters=1, eta=0.3).eta_at(0) == 0.3
 
 
+@pytest.mark.parametrize(
+    "kw,message",
+    [
+        (dict(n_iters=0), "n_iters must be >= 1, got 0"),
+        (dict(eta=0.0), "eta must be finite and > 0, got 0.0"),
+        (dict(eta=-0.1), "eta must be finite and > 0, got -0.1"),
+        (dict(eta=float("nan")), "eta must be finite and > 0, got nan"),
+        (dict(eta=float("inf")), "eta must be finite and > 0, got inf"),
+        (dict(calib_noise_std=-0.05), "calib_noise_std must be finite and >= 0, got -0.05"),
+        (dict(calib_noise_std=float("nan")), "calib_noise_std must be finite and >= 0, got nan"),
+        (dict(calib_noise_std=float("inf")), "calib_noise_std must be finite and >= 0, got inf"),
+    ],
+)
+def test_config_rejects_a_rate_or_count_it_cannot_run_naming_the_field(kw, message):
+    with pytest.raises(ValueError) as raised:
+        InversionConfig(**kw)
+    assert str(raised.value) == message
+
+
 def test_oracle_start_is_fixed_point():
     """Iterating from the true embedding keeps distance at 0."""
     model = small_mixer(seed=6)

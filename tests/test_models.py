@@ -375,12 +375,19 @@ def test_generate_context_overflow_rejected():
 # ---------------------------------------------------------------------------
 # parameter counts and embeddings
 
-@pytest.mark.parametrize("kw", [dict(), dict(kernel_k=2), dict(expansion=2), dict(n_heads=4), dict(family="bidirectional_mixer")])
+TRANSFORMER_FAMILIES = [dict(family=f, n_heads=2) for f in ("transformer", "bidirectional_transformer", "transformer_autoencoder")]
+
+
+@pytest.mark.parametrize(
+    "kw", [dict(), dict(kernel_k=2), dict(expansion=2), dict(n_heads=4), dict(family="bidirectional_mixer"), *TRANSFORMER_FAMILIES]
+)
 def test_intertoken_param_count_closed_form(kw):
     cfg = tiny(**kw)
     model = build_model(cfg, seed=27)
     actual = sum(p.data.size for n, p in model.params.items() if ".w" in n and "conv" in n)
     assert actual == intertoken_param_count(cfg)
+    if cfg.block == "transformer":  # attention has no token-mixing weights
+        assert intertoken_param_count(cfg) == 0
 
 
 def test_flat_intertoken_count_formula():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from mixerlab import retrieval
+from mixerlab import tensor as T
 from mixerlab.models import ModelConfig, build_model, sequence_embedding
 from mixerlab.retrieval import (
     EmbeddingStore,
@@ -21,8 +23,9 @@ from mixerlab.retrieval import (
     train_indirect,
     train_infonce,
 )
-from mixerlab.tensor import Tensor, backward
+from mixerlab.tensor import Tensor, backward, grad_check
 from mixerlab.training import TrainingDiverged
+from test_tensor import graph_nodes
 
 
 def toy_store(n=64, d=8, seed=0):
@@ -125,7 +128,6 @@ def test_sample_batch_invariants_hold():
         batch = sample_retrieval_batch(store, n, 8, rng)
         assert np.array_equal(batch.a[0], store.queries[n])
         assert np.array_equal(batch.a[batch.m], store.targets[n])
-        assert batch.q[batch.m] == 1 and batch.q.sum() == 1
         # the true target never appears anywhere else
         for i in range(1, 8):
             if i != batch.m:
@@ -192,10 +194,9 @@ def test_sample_batch_c_too_large():
 
 
 def test_retrieval_batch_validation():
-    with pytest.raises(ValueError, match="match index"):
-        RetrievalBatch(a=np.zeros((4, 2)), q=np.array([1, 0, 0, 0]), m=0)
-    with pytest.raises(ValueError, match="one-hot"):
-        RetrievalBatch(a=np.zeros((4, 2)), q=np.array([0, 1, 1, 0]), m=1)
+    for m in (0, 4):
+        with pytest.raises(ValueError, match="match index"):
+            RetrievalBatch(a=np.zeros((4, 2)), m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +251,51 @@ def test_infonce_non_negative_and_decreasing_in_positive_similarity():
     assert lo < hi
 
 
+def logsumexp_infonce(q, pos, negs, tau):
+    """The loss as the hand-built log-sum-exp over cosine logits that `cross_entropy` replaced."""
+    if isinstance(negs, list):
+        negs = T.concat([T.reshape(n, n.data.shape[:-1] + (1, n.data.shape[-1])) for n in negs], axis=-2)
+    d = q.data.shape[-1]
+    query = T.reshape(q, q.data.shape[:-1] + (1, d))
+    cands = T.concat([T.reshape(pos, pos.data.shape[:-1] + (1, d)), negs], axis=-2)
+    num = T.tsum(T.mul(query, cands), axis=-1)
+    qn = T.sqrt(T.tsum(T.mul(query, query), axis=-1))
+    cn = T.sqrt(T.tsum(T.mul(cands, cands), axis=-1))
+    sims = T.mul(T.div(num, T.mul(qn, cn)), 1.0 / tau)
+    peak = Tensor(np.max(sims.data, axis=-1, keepdims=True))
+    lse = T.add(T.log(T.tsum(T.exp(T.add(sims, T.neg(peak))), axis=-1, keepdims=True)), peak)
+    losses = T.tsum(T.add(lse, T.neg(T.narrow(sims, -1, 0, 1))), axis=-1)
+    return T.mean(losses) if losses.data.ndim else losses
+
+
+@pytest.mark.parametrize("tau", [0.02, 0.5])
+@pytest.mark.parametrize("form", ["list", "batched"])
+def test_infonce_matches_logsumexp_form_in_float64(form, tau):
+    rng = np.random.default_rng(15)
+    if form == "list":
+        q, pos = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
+        negs = [Tensor(rng.normal(size=6)) for _ in range(5)]
+    else:
+        q, pos, negs = Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(3, 5, 6)))
+    ours = infonce_loss(q, pos, negs, tau).item()
+    ref = logsumexp_infonce(q, pos, negs, tau).item()
+    assert abs(ours - ref) <= 1e-12 * abs(ref)
+    for i, x in enumerate((q, pos)):
+        def f(t, i=i):
+            args = [q, pos]
+            args[i] = t
+            return infonce_loss(*args, negs, tau)
+        assert grad_check(f, Tensor(x.data.copy(), requires_grad=True)) <= 1e-6
+
+
+def test_infonce_batched_loss_is_16_graph_nodes():
+    rng = np.random.default_rng(16)
+    q, pos = (Tensor(rng.normal(size=(2, 4)), requires_grad=True) for _ in range(2))
+    loss = infonce_loss(q, pos, Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True))
+    assert graph_nodes(loss) == 16
+    assert graph_nodes(logsumexp_infonce(q, pos, Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True), 0.02)) == 25
+
+
 def test_infonce_zero_norm_rejected():
     with pytest.raises(ValueError, match="zero-norm"):
         infonce_loss(Tensor(np.zeros(4)), Tensor(np.ones(4)), [Tensor(np.ones(4))])
@@ -264,11 +310,10 @@ def test_infonce_gradient_flows_to_query():
 
 
 def test_infonce_config_validation():
-    with pytest.raises(ValueError, match="tau"):
-        InfoNCEConfig(tau=0.0)
-    with pytest.raises(ValueError, match="negative"):
-        InfoNCEConfig(negatives=0)
-    for field in ("steps", "eval_every", "batches_per_update"):
+    for value in (0.0, -0.02, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^tau must be finite and > 0, got {value}$"):
+            InfoNCEConfig(tau=value)
+    for field in ("negatives", "steps", "eval_every", "batches_per_update"):
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
             InfoNCEConfig(**{field: 0})
 
@@ -284,6 +329,38 @@ def test_retrieval_trainers_reject_a_rate_that_is_not_finite_and_positive(value)
         train_indirect(model, toy_store(n=16, d=4), toy_store(n=16, d=4), steps=2, batch_size=2, lr=value)
     for n, p in model.params.items():
         assert np.array_equal(p.data, before[n]), n
+
+
+def test_indirect_rejects_a_batch_size_below_one_naming_it():
+    model = build_model(ModelConfig("retrieval_mixer", d_model=4, n_layers=1, n_ctx=4, vocab=3), seed=0)
+    with pytest.raises(ValueError, match="^batch_size must be >= 1, got 0$"):
+        train_indirect(model, toy_store(n=16, d=4), toy_store(n=16, d=4), steps=2, batch_size=0)
+
+
+def test_indirect_eval_sets_are_drawn_once(monkeypatch):
+    """Each eval point scores the same candidate sets; they are drawn before the first step."""
+    draws = []
+    real = retrieval.sample_retrieval_batch
+    monkeypatch.setattr(retrieval, "sample_retrieval_batch", lambda s, *a: draws.append(s) or real(s, *a))
+    store, eval_store = toy_store(n=16, d=4), toy_store(n=8, d=4, seed=1)
+    model = build_model(ModelConfig("retrieval_mixer", d_model=4, n_layers=1, n_ctx=4, vocab=3), seed=0)
+    report = train_indirect(model, store, eval_store, steps=4, batch_size=2, lr=1e-3, seed=3, eval_every=1)
+    assert len(report.records) == 5
+    assert sum(s is eval_store for s in draws) == len(eval_store)
+    assert all(s is eval_store for s in draws[:len(eval_store)])
+
+
+def test_infonce_eval_negatives_are_drawn_once(monkeypatch):
+    sizes = []
+    real = retrieval._others
+    monkeypatch.setattr(retrieval, "_others", lambda size, *a: sizes.append(size) or real(size, *a))
+    model = build_model(ModelConfig("masked_mixer", d_model=8, n_layers=1, n_ctx=8, vocab=259, padding_side="left"), seed=39)
+    rng = np.random.default_rng(40)
+    seqs = [np.concatenate([[256] * 2, rng.integers(97, 123, size=6)]) for _ in range(26)]
+    cfg = InfoNCEConfig(negatives=2, batches_per_update=1, steps=3, eval_every=1, seed=41)
+    report = train_infonce(model, (seqs[:10], seqs[10:20]), cfg, eval_pairs=(seqs[20:23], seqs[23:]))
+    assert len(report.records) == 4
+    assert sizes == [3] * 3 + [10] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +510,28 @@ def test_infonce_divergence_restores_last_eval_point():
     with pytest.raises(TrainingDiverged), np.errstate(all="ignore"):
         train_infonce(model, (seqs[:6], seqs[6:]), cfg)
     # the last eval point is step 0
+    for n, p in model.params.items():
+        assert np.array_equal(p.data, before[n]), n
+
+
+@pytest.mark.parametrize("bad", ["short", "one-token", "out-of-vocab"])
+@pytest.mark.parametrize("side", ["query", "target", "eval"])
+def test_infonce_rejects_a_malformed_sequence_anywhere_before_step_0(side, bad):
+    model = build_model(ModelConfig("masked_mixer", d_model=8, n_layers=1, n_ctx=8, vocab=259, padding_side="left"), seed=36)
+    before = {n: p.data.copy() for n, p in model.params.items()}
+    rng = np.random.default_rng(37)
+    seqs = [np.concatenate([[256] * 2, rng.integers(97, 123, size=6)]) for _ in range(30)]
+    queries, targets, eval_q, eval_t = seqs[:10], seqs[10:20], seqs[20:25], seqs[25:]
+    # the last of each list: a one-step run with seed 38 samples none of them
+    malformed, message = {
+        "short": (np.arange(97, 104), "expected 8 tokens"),
+        "one-token": (np.array([256] * 7 + [97]), "at least 2 non-pad"),
+        "out-of-vocab": (np.full(8, 259), "out of range for vocab 259"),
+    }[bad]
+    {"query": queries, "target": targets, "eval": eval_t}[side][-1] = malformed
+    cfg = InfoNCEConfig(negatives=2, batches_per_update=1, steps=1, eval_every=1, seed=38)
+    with pytest.raises(ValueError, match=message):
+        train_infonce(model, (queries, targets), cfg, eval_pairs=(eval_q, eval_t))
     for n, p in model.params.items():
         assert np.array_equal(p.data, before[n]), n
 
