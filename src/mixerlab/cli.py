@@ -24,6 +24,7 @@ from .jl import jl_bound, jl_min_dim, jl_shorthand_dim
 from .models import FAMILIES, ModelConfig, build_model, generate
 from .retrieval import (
     InfoNCEConfig,
+    TooFewEvalPairs,
     embed_pair_store,
     eval_topk_accuracy,
     normalize_store,
@@ -239,13 +240,19 @@ def _run_indirect(args):
         seed=args.seed,
         dtype=T.dtype_for(args.precision),
     )
-    report = train_indirect(
-        scorer, train_store, eval_store, steps=args.steps, batch_size=args.batch_size, lr=args.lr,
-        seed=args.seed, eval_every=args.eval_every,
-    )
+    try:
+        report = train_indirect(
+            scorer, train_store, eval_store, steps=args.steps, batch_size=args.batch_size, lr=args.lr,
+            seed=args.seed, eval_every=args.eval_every,
+        )
+    except TooFewEvalPairs:
+        raise ValueError(
+            f"--holdout {holdout} gives fewer eval pairs than --candidates {args.candidates}; "
+            "raise --holdout or lower --candidates"
+        ) from None
     write_metrics_csv(args.out / "metrics.csv", report)
     save_checkpoint(scorer, args.out / "retrieval-model.ckpt")
-    print(f"eval CE: {report.records[0].eval_loss!r} -> {report.final_eval_loss()!r} (ln c = {np.log(args.candidates)!r})")
+    print(f"eval CE: {report.records[0].eval_loss!r} -> {report.final_eval_loss()!r} (ln c = {float(np.log(args.candidates))!r})")
     return 0
 
 

@@ -295,10 +295,13 @@ def _run_stack(model, prefix, e, mask_dir, ids=None, layer=-1, rows=None):
     entry is the stack's last hidden layer. The list ends at entry `layer`
     of the full list: the blocks after it and the final norm are not run.
 
-    With `rows` (one position per sequence), each sequence keeps only that
+    With `rows` (the `_row_index` of one position per sequence of a causal
+    stack over a (batch, n_ctx) id array), each sequence keeps only that
     row once the last block has mixed tokens; the rest of that block and
     the final norm act on each row alone, so they run on (..., 1, d), and
-    so do the entries of the last block and of the final norm.
+    so do the entries of the last block and of the final norm. The blocks
+    before it run their feed-forward only on the rows `_shared_pad_rows`
+    keeps.
     """
     cfg = model.config
     params = model.params
@@ -309,6 +312,7 @@ def _run_stack(model, prefix, e, mask_dir, ids=None, layer=-1, rows=None):
     mixer = cfg.block == "mixer"
     rope = None if mixer else _rope_cache(cfg.n_ctx, cfg.d_model // cfg.n_heads, e.dtype)
     allowed = None if mixer else _allowed_attention(cfg, mask_dir, ids)
+    shared = None if rows is None else _shared_pad_rows(ids)
     hiddens = [e]
     x = e
     for i in range(min(last, cfg.n_layers)):
@@ -322,15 +326,42 @@ def _run_stack(model, prefix, e, mask_dir, ids=None, layer=-1, rows=None):
         else:
             mask = CausalMask(mask_dir).pattern(cfg.n_ctx, cfg.n_ctx)
             x = T.conv_sublayer(x, *ln1, _conv_weight(params, p + "mix.conv.", cfg, mask), mask)
+        ff = [params[p + n] for n in ("ln2.gain", "ln2.bias", "ff.w1", "ff.b1", "ff.w2", "ff.b2")]
         if rows is not None and i == cfg.n_layers - 1:
-            x = _rows_at(x, rows)
-        x = T.feed_forward(x, *(params[p + n] for n in ("ln2.gain", "ln2.bias", "ff.w1", "ff.b1", "ff.w2", "ff.b2")))
+            x = T.feed_forward(T.take_rows(x, rows), *ff)
+        elif shared is not None:
+            live, expand = shared
+            x = T.take_rows(T.feed_forward(T.take_rows(x, live), *ff), expand)
+        else:
+            x = T.feed_forward(x, *ff)
         hiddens.append(x)
     if rows is not None and cfg.n_layers == 0:
-        x = _rows_at(x, rows)
+        x = T.take_rows(x, rows)
     if last == n_states - 1:
         hiddens.append(T.layer_norm(x, params[f"{prefix}ln_f.gain"], params[f"{prefix}ln_f.bias"]))
     return hiddens
+
+
+def _shared_pad_rows(ids):
+    """Flat row indices (live, expand) that run a causal batch's leading-pad rows once; None without them.
+
+    A row before its sequence's first non-pad token sees only pad rows: a
+    causal convolution reads only rows at or before it, and attention lets
+    a pad query see only itself. So it holds the same values in every
+    sequence of the batch, at every layer. `live` lists each sequence's
+    rows from its first non-pad token on, plus every row of one sequence
+    with the longest pad prefix, in flat (batch, n_ctx) order; `expand`
+    is the (batch, n_ctx) position in `live` of each row, or of that
+    sequence's row at the same position for a leading-pad row.
+    """
+    lead = np.argmax(ids != PAD_ID, axis=-1)  # leading pads; every sequence holds a non-pad token
+    if not lead.any():
+        return None
+    longest = np.argmax(lead)
+    live = np.arange(ids.shape[-1]) >= lead[:, None]
+    live[longest] = True
+    rank = (np.cumsum(live) - 1).reshape(live.shape)
+    return np.flatnonzero(live), np.where(live, rank, rank[longest])
 
 
 def _nth_last_nonpad(ids, nth):
@@ -346,14 +377,10 @@ def _nth_last_nonpad(ids, nth):
     return np.argmax(nonpad & (seen == total - (nth - 1)), axis=-1)
 
 
-def _rows_at(h, positions):
-    """Row positions[b] of each sequence b of h (..., S, d), as (..., 1, d).
-
-    A one-hot weighted sum over the sequence axis: exact, and the gradient
-    reaches only the selected rows.
-    """
-    pick = np.arange(h.data.shape[-2]) == np.asarray(positions)[..., None]
-    return T.tsum(T.mul(h, Tensor(pick[..., None].astype(h.dtype))), axis=-2, keepdims=True)
+def _row_index(positions, n_ctx):
+    """`take_rows` indices of row positions[b] of each sequence b: (..., S, d) rows give (..., 1, d)."""
+    positions = np.asarray(positions)
+    return (np.arange(positions.size).reshape(positions.shape) * n_ctx + positions)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +433,7 @@ def _encode(model, ids):
     """Encoder hidden states and the bottleneck: each sequence's last non-pad state, (..., 1, d)."""
     e = T.embedding_lookup(model.params["wte"], ids)
     enc = _run_stack(model, "enc.", e, "forward", ids=ids)
-    return enc, _rows_at(enc[-1], _nth_last_nonpad(ids, 1))
+    return enc, T.take_rows(enc[-1], _row_index(_nth_last_nonpad(ids, 1), model.config.n_ctx))
 
 
 def autoencoder_forward(model, tokens):
@@ -487,9 +514,9 @@ def _embed(model, tokens):
             # have one row, which BLAS computes as a matrix-vector product
             # that rounds differently from the full product, and the
             # embedding must equal `forward`'s hidden row bit for bit.
-            rows = _rows_at(_run_stack(model, "", e, "forward", ids=ids)[-1], second_last)
+            rows = T.take_rows(_run_stack(model, "", e, "forward", ids=ids)[-1], _row_index(second_last, cfg.n_ctx))
         else:
-            rows = _run_stack(model, "", e, "forward", ids=ids, rows=second_last)[-1]
+            rows = _run_stack(model, "", e, "forward", ids=ids, rows=_row_index(second_last, cfg.n_ctx))[-1]
     return T.reshape(rows, ids.shape[:-1] + (cfg.d_model,))
 
 

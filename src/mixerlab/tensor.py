@@ -429,6 +429,29 @@ def narrow(a, axis, start, length):
     return _make(a.data[idx].copy(), (a,), backward)
 
 
+def take_rows(a, idx):
+    """Rows `idx` of `a` flattened over its leading axes, as idx.shape + (d,).
+
+    One node gathers, drops and repeats rows of a (..., d) tensor. The
+    backward adds each output row's gradient into its source row with one
+    unbuffered add in index order, so rows that share a source sum their
+    gradients in a fixed order. As in `embedding_lookup`, the add runs over
+    flat element indices: about 3.5x faster than adding whole rows.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    d = a.data.shape[-1]
+    flat = a.data.reshape(-1, d)
+    if idx.min(initial=0) < 0 or (idx.size and idx.max() >= len(flat)):
+        raise ValueError(f"row index out of range for {len(flat)} rows")
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga.reshape(-1), (idx.reshape(-1, 1) * d + np.arange(d)).reshape(-1), g.reshape(-1))
+        return (ga,)
+
+    return _make(flat[idx], (a,), backward)
+
+
 def concat(tensors, axis):
     _check_same_dtype(*tensors)
     sizes = [t.data.shape[axis] for t in tensors]

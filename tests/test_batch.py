@@ -147,14 +147,56 @@ def test_batched_embedding_prunes_last_block_to_one_row(monkeypatch, family):
     assert shapes == [(5, cfg.n_ctx, cfg.d_model), (5, 1, cfg.d_model)]
 
 
+def mixed_pad_ids(rng, n_ctx, batch, side):
+    """(batch, n_ctx) ids whose rows keep 5, n_ctx, 2, 3 and 7 non-pad tokens (pads on `side`)."""
+    ids = np.full((batch, n_ctx), PAD_ID)
+    for row, keep in zip(ids, (5, n_ctx, 2, 3, 7)[:batch]):
+        row[:keep] = rng.integers(0, 256, size=keep)
+        if side == "left":
+            row[:] = np.roll(row, n_ctx - keep)
+    return ids
+
+
 @pytest.mark.parametrize("family", ["masked_mixer", "transformer"])
+def test_batched_embedding_runs_leading_pad_rows_once(monkeypatch, family):
+    """Before the last block, the feed-forward sees each sequence's rows from its
+    first token on, plus every row of the sequence with the most leading pads."""
+    cfg = tiny(family, n_heads=2, n_layers=3, padding_side="left")
+    model = build_model(cfg, seed=11)
+    ids = mixed_pad_ids(np.random.default_rng(12), cfg.n_ctx, 5, "left")
+    lead = np.argmax(ids != PAD_ID, axis=1)
+    assert list(lead) == [3, 0, 6, 5, 1]
+    shapes = []
+    feed_forward = T.feed_forward
+
+    def probe(x, *params):
+        shapes.append(x.data.shape)
+        return feed_forward(x, *params)
+
+    monkeypatch.setattr(T, "feed_forward", probe)
+    sequence_embedding(model, ids)
+    live = int(np.sum(cfg.n_ctx - lead) + lead.max())
+    assert live == 31
+    assert shapes == [(live, cfg.d_model), (live, cfg.d_model), (5, 1, cfg.d_model)]
+
+
+PRUNED = {
+    "masked_mixer": dict(n_heads=2),
+    "mixer_flat": {},
+    "mixer_expansion2": dict(expansion=2),
+    "mixer_softmax_weights": dict(softmax_weights=True),
+    "transformer": dict(family="transformer", n_heads=2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PRUNED))
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("batch", [1, 2, 5])
-@pytest.mark.parametrize("n_layers", [0, 2])
+@pytest.mark.parametrize("n_layers", [0, 2, 3])
 def test_pruned_embedding_matches_full_stack_rows(family, side, batch, n_layers):
-    cfg = tiny(family, padding_side=side, n_heads=2, n_layers=n_layers)
+    cfg = tiny(**{"family": "masked_mixer", "padding_side": side, "n_layers": n_layers, **PRUNED[family]})
     model = build_model(cfg, seed=13, dtype=CHECK64)
-    ids = random_padded_ids(np.random.default_rng(14 + batch), cfg.n_ctx, batch, side)
+    ids = mixed_pad_ids(np.random.default_rng(14 + batch), cfg.n_ctx, batch, side)
     second_last = [np.flatnonzero(row != PAD_ID)[-2] for row in ids]
     with T.no_grad():
         full = forward(model, ids)[1][-1].data[np.arange(batch), second_last]

@@ -223,6 +223,23 @@ def test_bad_config_file_is_usage_error(tmp_path, corpus_file, capsys, case):
     assert not (tmp_path / "run").exists()
 
 
+def test_indirect_eval_split_below_candidates_exit_1_names_both_flags(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    emb = tmp_path / "emb.ckpt"
+    save_embedding_store(EmbeddingStore(queries=rng.normal(size=(200, 8)), targets=rng.normal(size=(200, 8))), emb)
+    out = tmp_path / "ret"
+    capsys.readouterr()
+    assert run_cli(["train-retrieval-indirect", "--embeddings", str(emb), "--steps", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --holdout 20 gives fewer eval pairs than --candidates 32; raise --holdout or lower --candidates\n"
+    )
+    assert not (out / "metrics.csv").exists()
+    argv = ["train-retrieval-indirect", "--embeddings", str(emb), "--steps", "1", "--holdout", "40", "--out", str(out)]
+    assert run_cli(argv) == 0
+    summary = capsys.readouterr().out
+    assert summary.endswith(f" (ln c = {float(np.log(32))!r})\n") and "np.float64" not in summary
+
+
 def test_indirect_divergence_exit_1_without_checkpoint(tmp_path, capsys):
     rng = np.random.default_rng(1)
     emb = tmp_path / "emb.ckpt"

@@ -95,7 +95,7 @@ def test_embed_corpus_checks_a_mixed_corpus_in_index_order(caplog):
 def test_embed_corpus_all_skipped_gives_no_rows():
     cfg = ModelConfig("masked_mixer", d_model=16, n_layers=1, n_ctx=8, vocab=259, padding_side="left")
     rows, kept = embed_corpus(build_model(cfg, seed=7), [np.full(8, 256), np.arange(7)])
-    assert kept == [] and rows.shape == (0, 16)
+    assert kept == [] and rows.shape == (0, 16) and rows.dtype == np.float32
 
 
 def test_embed_corpus_rows_track_weights():
@@ -335,6 +335,15 @@ def test_indirect_rejects_a_batch_size_below_one_naming_it():
     model = build_model(ModelConfig("retrieval_mixer", d_model=4, n_layers=1, n_ctx=4, vocab=3), seed=0)
     with pytest.raises(ValueError, match="^batch_size must be >= 1, got 0$"):
         train_indirect(model, toy_store(n=16, d=4), toy_store(n=16, d=4), steps=2, batch_size=0)
+
+
+def test_indirect_rejects_an_eval_store_smaller_than_a_candidate_set_before_drawing(monkeypatch):
+    draws = []
+    monkeypatch.setattr(retrieval, "sample_retrieval_batch", lambda *a: draws.append(a))
+    model = build_model(ModelConfig("retrieval_mixer", d_model=4, n_layers=1, n_ctx=8, vocab=3), seed=0)
+    with pytest.raises(retrieval.TooFewEvalPairs, match="^8 candidates per set need at least 8 eval pairs, have 7$"):
+        train_indirect(model, toy_store(n=16, d=4), toy_store(n=7, d=4), steps=2, batch_size=2)
+    assert draws == []
 
 
 def test_indirect_eval_sets_are_drawn_once(monkeypatch):

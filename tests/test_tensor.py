@@ -683,6 +683,41 @@ def test_embedding_lookup_rejects_bad_ids():
         T.embedding_lookup(wte, [6])
 
 
+def test_take_rows_gathers_and_repeats_rows():
+    a = t64(np.arange(24).reshape(2, 3, 4))
+    idx = np.array([[5, 0], [5, 2], [1, 1]])
+    out = T.take_rows(a, idx)
+    assert out.data.shape == (3, 2, 4)
+    np.testing.assert_array_equal(out.data, a.data.reshape(6, 4)[idx])
+
+
+def test_take_rows_sums_the_gradients_of_repeated_rows_in_index_order():
+    rng = np.random.default_rng(47)
+    a = Tensor(rng.normal(size=(2, 3, 5)).astype(np.float32), requires_grad=True)
+    idx = np.array([4, 1, 4, 4, 0, 1])
+    g = (rng.normal(size=(6, 5)) * 10.0 ** rng.uniform(-3, 3, size=(6, 5))).astype(np.float32)
+    (got,) = T.take_rows(a, idx)._backward(g)
+    want = np.zeros((6, 5), dtype=np.float32)
+    for row, src in zip(g, idx):
+        want[src] += row
+    assert got.shape == (2, 3, 5) and got.dtype == np.float32
+    assert got.tobytes() == want.reshape(2, 3, 5).tobytes()
+
+
+def test_take_rows_grad_matches_finite_differences():
+    rng = np.random.default_rng(48)
+    idx = np.array([[3, 3, 0], [2, 5, 3]])
+    probe = t64(rng.normal(size=(2, 3, 4)))
+    f = lambda a: T.tsum(T.mul(T.take_rows(a, idx), probe))  # noqa: E731
+    assert grad_check(f, t64(rng.normal(size=(2, 3, 4)), requires_grad=True)) <= 1e-6
+
+
+@pytest.mark.parametrize("bad", [6, -1])
+def test_take_rows_rejects_an_index_outside_the_rows(bad):
+    with pytest.raises(ValueError, match="row index out of range for 6 rows"):
+        T.take_rows(t64(np.zeros((2, 3, 4))), [0, bad])
+
+
 def test_concat_and_transpose_grads():
     rng = np.random.default_rng(10)
     b = t64(rng.normal(size=(3, 2)))
