@@ -16,7 +16,6 @@ from mixerlab.models import ModelConfig, build_model
 rng = np.random.default_rng(42)
 N_CTX = 16
 inputs = [rng.integers(0, 256, size=N_CTX) for _ in range(3)]
-cfg = InversionConfig(n_iters=300, eta=0.1)
 
 
 def mean_hamming(model):
@@ -33,7 +32,7 @@ ht, rep = mean_hamming(tfm)
 print(f"  transformer  : mean hamming {ht:.3f}  (calibration decode stable: {rep.calibration_decode_stable})")
 
 print("\nwidth sweep for the mixer (recovery needs enough d_model):")
-for d in (32, 64, 128, 256):
+for d in (4, 8, 16, 32):
     model = build_model(ModelConfig("masked_mixer", d_model=d, n_layers=2, n_ctx=N_CTX, vocab=259), seed=0)
     hm, _ = mean_hamming(model)
     print(f"  d_model {d:4d}: mean hamming {hm:.3f}")

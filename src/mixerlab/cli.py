@@ -25,6 +25,7 @@ from .models import FAMILIES, ModelConfig, build_model, generate
 from .retrieval import (
     InfoNCEConfig,
     TooFewEvalPairs,
+    _check_eval_sizes,
     embed_pair_store,
     eval_topk_accuracy,
     normalize_store,
@@ -273,11 +274,23 @@ def _run_infonce(args):
     return 0
 
 
+def _parse_sizes(text):
+    """The candidate-set sizes of `--sizes`, a comma-separated list of at least one integer."""
+    try:
+        sizes = [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise ValueError(f"--sizes must be comma-separated integers, got {text!r}") from None
+    if not sizes:
+        raise ValueError(f"--sizes must list at least one size, got {text!r}")
+    return sizes
+
+
 def _run_retrieve_eval(args):
+    sizes = _parse_sizes(args.sizes)
+    _check_eval_sizes(sizes, args.trials)
     model = load_checkpoint(args.checkpoint)
     queries, targets = _load_pair_sequences(args.pairs, model.config.n_ctx)
     store = embed_pair_store(model, queries, targets, model_id=str(args.checkpoint))
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     rows = eval_topk_accuracy(store, sizes, trials=args.trials, rng=np.random.default_rng(args.seed))
     write_accuracy_csv(args.out / "accuracy.csv", rows)
     for n, trials, acc in rows:

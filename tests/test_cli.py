@@ -63,6 +63,20 @@ def test_invert_missing_checkpoint_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--sizes", "8,x"], "--sizes must be comma-separated integers, got '8,x'"),
+        (["--sizes", "32,1"], "sizes must be >= 2, got 1"),
+        (["--trials", "0"], "trials must be >= 1, got 0"),
+    ],
+)
+def test_retrieve_eval_checks_sizes_and_trials_before_loading(tmp_path, capsys, flags, message):
+    argv = ["retrieve-eval", "--checkpoint", str(tmp_path / "nope.ckpt"), "--pairs", str(tmp_path / "nope.tsv")]
+    assert run_cli([*argv, *flags, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_train_clm_writes_ten_step_rows_and_artifacts(tmp_path, corpus_file):
     out = tmp_path / "run"
     code = run_cli([
@@ -448,6 +462,8 @@ COUNT_CASES = {  # case: (a count or rate it cannot run, the error naming it, th
     "retrieve-eval/sizes=1": (["--sizes", "32,1"], "sizes must be >= 2, got 1", "accuracy.csv"),
     "retrieve-eval/sizes=0": (["--sizes", "0"], "sizes must be >= 2, got 0", "accuracy.csv"),
     "retrieve-eval/sizes=-3": (["--sizes", "-3"], "sizes must be >= 2, got -3", "accuracy.csv"),
+    "retrieve-eval/sizes=8,x": (["--sizes", "8,x"], "--sizes must be comma-separated integers, got '8,x'", "accuracy.csv"),
+    "retrieve-eval/sizes=,": (["--sizes", ","], "--sizes must list at least one size, got ','", "accuracy.csv"),
     "generate": (["--n-new", "-1"], "n_new must be >= 0, got -1", "generation.txt"),
     "invert/n-iters=0": (["--n-iters", "0"], "n_iters must be >= 1, got 0", "inversion.csv"),
     "train-retrieval-infonce/negatives=0": (["--negatives", "0"], "negatives must be >= 1, got 0", "model.ckpt"),

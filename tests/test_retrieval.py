@@ -460,6 +460,59 @@ def test_eval_topk_rejects_size_below_two_before_any_draw(sizes, first):
     assert rng.bit_generator.state == state
 
 
+def tied_store(n=40, d=8, seed=24):
+    """Queries near their targets, with every odd target a copy of the even one before it."""
+    rng = np.random.default_rng(seed)
+    targets = rng.normal(size=(n, d)).astype(np.float32)
+    targets[1::2] = targets[0::2]
+    queries = targets + 0.3 * rng.normal(size=(n, d)).astype(np.float32)
+    return EmbeddingStore(queries=queries, targets=targets)
+
+
+@pytest.mark.parametrize("chunk_floats", [None, 100])
+def test_eval_topk_matches_a_retrieve_topk_loop(monkeypatch, chunk_floats):
+    if chunk_floats is not None:  # many small chunks, the last one short
+        monkeypatch.setattr(retrieval, "TOPK_CHUNK_FLOATS", chunk_floats)
+    store, sizes, trials = tied_store(), [2, 3, 32, 42], 37
+    want, ties = [], 0
+    rng = np.random.default_rng(25)
+    for n in sizes[:-1]:  # 42 candidates need 41 stored pairs
+        hits = 0
+        for _ in range(trials):
+            idx = int(rng.integers(0, len(store)))
+            distractors = _others(len(store), idx, n - 2, rng)
+            candidates = np.concatenate([store.targets[idx:idx + 1], store.targets[distractors]])
+            top, z = retrieve_topk(store.queries[idx], candidates, 1)
+            hits += top[0] == 0
+            ties += int(np.sum(z == z.max()) > 1)
+        want.append((n, trials, hits / trials))
+    assert ties > 0
+    assert eval_topk_accuracy(store, sizes, trials, rng=np.random.default_rng(25)) == want
+
+
+def test_chunked_cosines_equal_retrieve_topk_bit_for_bit():
+    rng = np.random.default_rng(26)
+    store = toy_store(n=50, d=37, seed=27)
+    store = EmbeddingStore(queries=store.queries.astype(np.float32), targets=store.targets.astype(np.float32))
+    picks = np.array([np.concatenate([[i], _others(50, i, 19, rng)]) for i in rng.integers(0, 50, size=6)])
+    z = retrieval._cosines(retrieval._unit64(store.targets)[picks], retrieval._unit64(store.queries)[picks[:, :1]])
+    assert z.shape == (6, 20)
+    for row, trial in zip(z, picks):
+        _, want = retrieve_topk(store.queries[trial[0]], store.targets[trial], 1)
+        assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("side", ["queries", "targets"])
+def test_eval_topk_rejects_a_zero_norm_row_before_any_draw(side):
+    store = toy_store(n=10)
+    getattr(store, side)[7] = 0.0
+    rng = np.random.default_rng(28)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^zero-norm vector has no cosine direction$"):
+        eval_topk_accuracy(store, [2], trials=1, rng=rng)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("dim", [0, -2])
 def test_pca_project_rejects_dim_below_one(dim):
     with pytest.raises(ValueError, match=f"^pca_dim must be >= 1, got {dim}$"):
