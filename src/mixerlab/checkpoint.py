@@ -1,4 +1,4 @@
-"""Single-file binary container for model weights, token caches, and embeddings.
+"""Single-file binary container for model weights and embedding stores.
 
 Layout: magic, version, a length-prefixed JSON config blob, then a tensor
 table of (name, dtype tag, shape, raw little-endian row-major data)
@@ -21,10 +21,9 @@ from .tensor import Tensor
 MAGIC = b"MIXLAB1\n"
 VERSION = 1
 
-_DTYPE_TAGS = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8"), "token-i32": np.dtype("<i4")}
+_DTYPE_TAGS = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _MAX_NDIM = 64  # numpy's limit
-_FLOAT_DTYPES = {np.dtype(np.float32), np.dtype(np.float64)}
-_TAG_FOR_KIND = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64", np.dtype(np.int32): "token-i32"}
+_TAG_FOR_DTYPE = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
 class CheckpointFormatError(ValueError):
@@ -91,7 +90,7 @@ def write_container(path, config_obj, tensors):
         fh.write(struct.pack("<Q", len(tensors)))
         for name, arr in tensors.items():
             arr = np.ascontiguousarray(arr)
-            tag = _TAG_FOR_KIND.get(arr.dtype)
+            tag = _TAG_FOR_DTYPE.get(arr.dtype)
             if tag is None:
                 raise CheckpointFormatError(f"unsupported tensor dtype {arr.dtype} for {name!r}")
             _write_str(fh, name)
@@ -163,9 +162,10 @@ def _check_names(path, tensors, names):
             raise CheckpointFormatError(f"container at {path} holds unexpected tensor {name!r}")
 
 
-def _check_float_dtype(path, arrays, what):
+def _check_one_dtype(path, arrays, what):
+    """`arrays`, read from a container and so float32 or float64, must all share one of the two."""
     dtypes = {arr.dtype for arr in arrays}
-    if len(dtypes) != 1 or not dtypes <= _FLOAT_DTYPES:
+    if len(dtypes) != 1:
         found = sorted(map(str, dtypes))
         raise CheckpointFormatError(f"{what} in {path} must share one float32 or float64 dtype, got {found}")
 
@@ -207,26 +207,9 @@ def load_checkpoint(path):
     for name, arr in tensors.items():
         if arr.shape != specs[name]:
             raise CheckpointFormatError(f"tensor {name!r} in {path} has shape {arr.shape}, expected {specs[name]}")
-    _check_float_dtype(path, tensors.values(), "model tensors")
+    _check_one_dtype(path, tensors.values(), "model tensors")
     params = {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
     return Model(config=cfg, params=params)
-
-
-def save_chunk_store(store, path):
-    write_container(path, {"kind": "chunks", "pad_side": store.pad_side}, {"ids": store.ids.astype(np.int32)})
-
-
-def load_chunk_store(path):
-    from .data import ChunkStore, TokenSequence
-
-    config_obj, tensors = _read_kind(path, "chunks", {"pad_side": str}, ["ids"])
-    side, ids = config_obj["pad_side"], tensors["ids"]
-    if ids.dtype != np.int32 or ids.ndim != 2:
-        raise CheckpointFormatError(f"chunk ids in {path} must be a 2-D token-i32 tensor, got {ids.dtype} {ids.shape}")
-    try:
-        return ChunkStore([TokenSequence(row, pad_side=side) for row in ids], pad_side=side)
-    except ValueError as err:
-        raise CheckpointFormatError(f"invalid chunks in {path}: {err}") from None
 
 
 def save_embedding_store(store, path):
@@ -244,7 +227,7 @@ def load_embedding_store(path):
         path, "embeddings", {"source_model_id": str, "convention": str}, ["queries", "targets"]
     )
     queries, targets = tensors["queries"], tensors["targets"]
-    _check_float_dtype(path, (queries, targets), "embedding tables")
+    _check_one_dtype(path, (queries, targets), "embedding tables")
     if queries.ndim != 2:
         raise CheckpointFormatError(f"embedding tables in {path} must be 2-D, got shape {queries.shape}")
     try:

@@ -44,13 +44,6 @@ OBJECTIVE_BY_COMMAND = {
 }
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision", choices=["train32", "check64"], default="train32")
-    p.add_argument("--config", type=Path, default=None, help="JSON file of defaults; explicit flags win")
-    p.add_argument("--out", type=Path, default=Path("mixerlab-out"))
-
-
 def _add_model_flags(p):
     p.add_argument("--family", choices=["mixer", "transformer"], default="mixer")
     p.add_argument("--d-model", type=int, default=64)
@@ -78,14 +71,20 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     parsers = {}
 
-    def command(name, **kw):
-        p = sub.add_parser(name, **kw)
-        _add_common(p)
+    def command(name, help, seed=True, precision=False):
+        """A subcommand with --config and --out, and --seed and --precision where its handler reads them."""
+        p = sub.add_parser(name, help=help)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if precision:
+            p.add_argument("--precision", choices=["train32", "check64"], default="train32")
+        p.add_argument("--config", type=Path, default=None, help="JSON file of defaults; explicit flags win")
+        p.add_argument("--out", type=Path, default=Path("mixerlab-out"))
         parsers[name] = p
         return p
 
     for name in OBJECTIVE_BY_COMMAND:
-        p = command(name, help=f"{OBJECTIVE_BY_COMMAND[name]} training run")
+        p = command(name, help=f"{OBJECTIVE_BY_COMMAND[name]} training run", precision=True)
         _add_model_flags(p)
         _add_train_flags(p)
         if name == "train-multitoken":
@@ -93,11 +92,11 @@ def build_parser():
         if name == "train-manytoken":
             p.add_argument("--prefix-len", type=int, required=True)
 
-    p = command("embed", help="embed a pair corpus with a frozen model")
+    p = command("embed", help="embed a pair corpus with a frozen model", seed=False)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--pairs", type=Path, required=True, help="UTF-8 lines `query<TAB>target`")
 
-    p = command("train-retrieval-indirect", help="train the scoring model over frozen embeddings")
+    p = command("train-retrieval-indirect", help="train the scoring model over frozen embeddings", precision=True)
     p.add_argument("--embeddings", type=Path, required=True)
     p.add_argument("--candidates", type=int, default=32)
     p.add_argument("--holdout", type=int, default=None, help="pairs reserved for eval (default 10%%)")
@@ -134,12 +133,12 @@ def build_parser():
     p.add_argument("--layer", type=int, default=-2)
     p.add_argument("--last-token-only", action="store_true")
 
-    p = command("generate", help="greedy generation from a prompt")
+    p = command("generate", help="greedy generation from a prompt", seed=False)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--prompt", type=str, required=True)
     p.add_argument("--n-new", type=int, default=32)
 
-    p = command("jl-dim", help="distance-preserving embedding dimension bound")
+    p = command("jl-dim", help="distance-preserving embedding dimension bound", seed=False)
     p.add_argument("--m", type=float, required=True, help="number of points")
     p.add_argument("--eps", type=float, default=1.0, help="distortion in (0, 1]")
 
@@ -374,8 +373,11 @@ HANDLERS = {
 }
 
 
-def _config_defaults(path, parser):
-    """The JSON object in a --config file; an unreadable or malformed file is a usage error."""
+def _config_defaults(path, parser, command):
+    """The flag values a --config file sets for `command`; a run's own config.json names its command.
+
+    An unreadable or malformed file, another command or a key that is no flag of `command` is a usage error.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             defaults = json.load(fh)
@@ -385,6 +387,13 @@ def _config_defaults(path, parser):
         parser.error(f"argument --config: {path} is not valid JSON: {e}")
     if not isinstance(defaults, dict):
         parser.error(f"argument --config: {path} must hold a JSON object")
+    other = defaults.pop("command", command)
+    if other != command:
+        parser.error(f"argument --config: {path} is for command {other!r}, not {command!r}")
+    dests = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+    unknown = [key for key in defaults if key not in dests]
+    if unknown:
+        parser.error(f"argument --config: {path} sets {', '.join(map(repr, unknown))}, not a flag of {command}")
     return defaults
 
 
@@ -402,7 +411,7 @@ def _parse_args(parser, parsers, argv):
     defaults = {}
     if args.config is not None:
         sub = parsers[args.command]
-        defaults = _config_defaults(args.config, sub)
+        defaults = _config_defaults(args.config, sub, args.command)
         sub.set_defaults(**defaults)
     for action in required:
         action.required = action.dest not in defaults

@@ -153,8 +153,14 @@ def synthetic_pairs(count, rng, key_len=6, payload_len=2, value_style="copy"):
     echoes the key, the default) or "qwerty=xs" (random value). The echoed
     value forces a language model trained on these lines to carry the key
     through its hidden states, which is what makes the pairs matchable from
-    embeddings.
+    embeddings. A count or length below 1 or another value style raises
+    ValueError naming the field before anything is drawn.
     """
+    for name, value in (("count", count), ("key_len", key_len), ("payload_len", payload_len)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if value_style not in ("copy", "random"):
+        raise ValueError(f"value_style must be 'copy' or 'random', got {value_style!r}")
     letters = "abcdefghijklmnopqrstuvwxyz"
     pairs = []
     for _ in range(count):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import PAD_ID
-from .models import _as_ids, _nth_last_nonpad, embedding_graph, retrieval_mixer_forward, sequence_embedding
+from .models import _as_ids, embedding_graph, retrieval_mixer_forward, sequence_embedding
 from .tensor import Tensor
 from .training import TrainConfig, _check_positive, _check_rate, _run_steps
 
@@ -85,25 +85,10 @@ class InfoNCEConfig:
 def embed_corpus(model, sequences):
     """Embed each sequence with the frozen model; skipped items are logged.
 
-    Returns (rows, kept_indices): one row per sequence that carries at
-    least two non-pad tokens. Kept sequences are embedded EMBED_CHUNK at a
-    time.
+    Returns (rows, kept_indices): one row per sequence that passes
+    `_check_sequences`. Kept sequences are embedded EMBED_CHUNK at a time.
     """
-    skipped, kept, ids = {}, [], []
-    for i, seq in enumerate(sequences):
-        try:
-            ids.append(_one_ids(seq, model.config))
-        except ValueError as e:
-            skipped[i] = e
-            continue
-        kept.append(i)
-    if ids:
-        ids = np.stack(ids)
-        short = np.sum(ids != PAD_ID, axis=1) < 2
-        for i in np.flatnonzero(short):
-            skipped[kept[i]] = "sequence must contain at least 2 non-pad token(s)"
-        ids = ids[~short]
-        kept = [i for i, bad in zip(kept, short) if not bad]
+    ids, kept, skipped = _check_sequences(sequences, model.config)
     for i in sorted(skipped):
         log.warning("skipping sequence %d: %s", i, skipped[i])
     if not kept:
@@ -111,20 +96,36 @@ def embed_corpus(model, sequences):
     return _embed_rows(model, ids), kept
 
 
-def _one_ids(seq, cfg):
-    """The (n_ctx,) ids of one sequence; ValueError unless it is one sequence of n_ctx tokens."""
-    ids = _as_ids(seq, cfg)
-    if ids.ndim != 1:
-        raise ValueError(f"expected one sequence, got shape {ids.shape}")
-    return ids
+def _check_sequences(seqs, cfg):
+    """(ids, kept, skipped) of a sequence list under the embedding's checks, in this order: one
+    sequence of n_ctx tokens, at least two non-pad tokens, every id inside the vocabulary. `ids`
+    stacks the sequences that pass, `kept` holds their indices and `skipped` maps every other
+    index to its reason, in the order the checks found them.
+    """
+    skipped, kept = {}, []
+    for i, seq in enumerate(seqs):
+        try:
+            ids = _as_ids(seq, cfg)
+            if ids.ndim != 1:
+                raise ValueError(f"expected one sequence, got shape {ids.shape}")
+            kept.append((i, ids))
+        except ValueError as e:
+            skipped[i] = str(e)
+    ids = np.stack([row for _, row in kept]) if kept else np.zeros((0, cfg.n_ctx), dtype=np.int64)
+    short = np.sum(ids != PAD_ID, axis=1) < 2
+    outside = np.any((ids < 0) | (ids >= cfg.vocab), axis=1) & ~short
+    for bad, reason in ((short, "sequence must contain at least 2 non-pad token(s)"),
+                        (outside, f"token id out of range for vocab {cfg.vocab}")):
+        skipped.update((kept[j][0], reason) for j in np.flatnonzero(bad))
+    good = ~(short | outside)
+    return ids[good], [i for (i, _), ok in zip(kept, good) if ok], skipped
 
 
 def _id_stack(seqs, cfg):
-    """The (len(seqs), n_ctx) ids of a sequence list, each checked as the embedding would check it."""
-    ids = np.stack([_one_ids(s, cfg) for s in seqs])
-    _nth_last_nonpad(ids, 2)
-    if ids.min() < 0 or ids.max() >= cfg.vocab:
-        raise ValueError(f"token id out of range for vocab {cfg.vocab}")
+    """The (len(seqs), n_ctx) ids of a sequence list; ValueError with the first reason `_check_sequences` finds."""
+    ids, _, skipped = _check_sequences(seqs, cfg)
+    if skipped:
+        raise ValueError(next(iter(skipped.values())))
     return ids
 
 

@@ -14,15 +14,12 @@ from mixerlab.checkpoint import (
     MAGIC,
     CheckpointFormatError,
     load_checkpoint,
-    load_chunk_store,
     load_embedding_store,
     read_container,
     save_checkpoint,
-    save_chunk_store,
     save_embedding_store,
     write_container,
 )
-from mixerlab.data import PAD_ID, ChunkStore, TokenSequence, build_corpus
 from mixerlab.jl import jl_bound, jl_min_dim, jl_shorthand_dim
 from mixerlab.models import ModelConfig, build_model, forward
 from mixerlab.retrieval import EmbeddingStore
@@ -184,16 +181,6 @@ def test_oversized_blob_length_rejected(tmp_path):
         read_container(path)
 
 
-def test_chunk_store_round_trip(tmp_path):
-    train, _ = build_corpus("hello world " * 20, n_ctx=8, inline=True)
-    path = tmp_path / "chunks.ckpt"
-    save_chunk_store(train, path)
-    loaded = load_chunk_store(path)
-    assert loaded.pad_side == train.pad_side
-    assert np.array_equal(loaded.ids, train.ids)
-    assert loaded.ids.dtype == np.int32
-
-
 def test_embedding_store_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     store = EmbeddingStore(
@@ -210,9 +197,8 @@ def test_embedding_store_round_trip(tmp_path):
 
 
 def test_kind_mismatch_rejected(tmp_path):
-    train, _ = build_corpus("hello world " * 20, n_ctx=8, inline=True)
-    path = tmp_path / "chunks.ckpt"
-    save_chunk_store(train, path)
+    path = tmp_path / "emb.ckpt"
+    save_embedding_store(tiny_embedding_store(), path)
     with pytest.raises(CheckpointFormatError, match="model"):
         load_checkpoint(path)
 
@@ -220,6 +206,17 @@ def test_kind_mismatch_rejected(tmp_path):
 def test_container_rejects_unsupported_dtype(tmp_path):
     with pytest.raises(CheckpointFormatError, match="dtype"):
         write_container(tmp_path / "bad.ckpt", {}, {"x": np.zeros(3, dtype=np.int64)})
+
+
+def test_token_ids_neither_written_nor_read(tmp_path):
+    # the container holds float32 and float64 tensors only: an int32 array is
+    # not written, and an entry with the `token-i32` tag is not read
+    with pytest.raises(CheckpointFormatError, match="unsupported tensor dtype int32 for 'ids'"):
+        write_container(tmp_path / "ids.ckpt", {}, {"ids": np.zeros((2, 4), np.int32)})
+    path = tmp_path / "chunks.ckpt"
+    path.write_bytes(_container(b'{"kind": "chunks", "pad_side": "right"}', [("ids", "token-i32", (2,), b"\0" * 8)]))
+    with pytest.raises(CheckpointFormatError, match=r"^unknown dtype tag 'token-i32' at byte \d+$"):
+        read_container(path)
 
 
 def test_container_preserves_config_json(tmp_path):
@@ -313,27 +310,6 @@ def test_model_float64_loads(tmp_path):
     assert load_checkpoint(path).dtype == np.float64
 
 
-CHUNKS = {"kind": "chunks", "pad_side": "right"}
-
-
-@pytest.mark.parametrize(
-    "blob,tensors,message",
-    [
-        (CHUNKS, {}, "lacks tensor 'ids'"),
-        ({"kind": "chunks"}, {"ids": np.zeros((2, 4), np.int32)}, "lacks a str config value 'pad_side'"),
-        ({**CHUNKS, "pad_side": "up"}, {"ids": np.zeros((2, 4), np.int32)}, "pad_side must be"),
-        (CHUNKS, {"ids": np.full((2, 4), 999, np.int32)}, "token id out of range"),
-        (CHUNKS, {"ids": np.zeros((2, 4), np.float32)}, "2-D token-i32"),
-        (CHUNKS, {"ids": np.zeros(4, np.int32)}, "2-D token-i32"),
-    ],
-)
-def test_chunk_store_invalid_contents_rejected(tmp_path, blob, tensors, message):
-    path = tmp_path / "c.ckpt"
-    write_container(path, blob, tensors)
-    with pytest.raises(CheckpointFormatError, match=message):
-        load_chunk_store(path)
-
-
 EMBEDDINGS = {"kind": "embeddings", "source_model_id": "m", "convention": "c"}
 TABLE = np.zeros((3, 4), np.float32)
 NAN_TABLE = np.where(np.arange(12).reshape(3, 4) == 6, np.float32(np.nan), TABLE)
@@ -369,19 +345,9 @@ def model_state(model):
     return model.config, [(name, p.data.dtype, p.data.tobytes()) for name, p in model.params.items()]
 
 
-def chunk_state(store):
-    return store.pad_side, store.ids.dtype, store.ids.shape, store.ids.tobytes()
-
-
 def embedding_state(store):
     tables = [(t.dtype, t.shape, t.tobytes()) for t in (store.queries, store.targets)]
     return store.source_model_id, store.convention, tables
-
-
-def tiny_chunk_store():
-    rows = np.random.default_rng(7).integers(0, 256, size=(64, 32))
-    rows[::3, 20:] = PAD_ID
-    return ChunkStore([TokenSequence(row) for row in rows])
 
 
 def tiny_embedding_store():
@@ -395,7 +361,6 @@ def tiny_embedding_store():
 
 LOADERS = {
     "model": (lambda: tiny_model(seed=9), save_checkpoint, load_checkpoint, model_state),
-    "chunks": (tiny_chunk_store, save_chunk_store, load_chunk_store, chunk_state),
     "embeddings": (tiny_embedding_store, save_embedding_store, load_embedding_store, embedding_state),
 }
 
@@ -411,7 +376,7 @@ def test_duplicate_tensor_name_rejected_with_offset(tmp_path, kind):
     (blob_len,) = struct.unpack_from("<I", raw, BLOB_AT - 4)
     count_at = BLOB_AT + blob_len
     struct.pack_into("<Q", raw, count_at, struct.unpack_from("<Q", raw, count_at)[0] + 1)
-    tag = {np.dtype(np.float32): "f32", np.dtype(np.int32): "token-i32"}[first.dtype]
+    tag = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}[first.dtype]
     second_at = len(raw)
     path.write_bytes(bytes(raw) + _entry(name, tag, first.shape, np.zeros_like(first).tobytes()))
     with pytest.raises(CheckpointFormatError, match=rf"^duplicate tensor name '{name}' at byte {second_at}$"):
@@ -426,7 +391,7 @@ def corruption_dir(tmp_path_factory):
     return root
 
 
-ITEMSIZE = {b"f32": 4, b"f64": 8, b"token-i32": 4}
+ITEMSIZE = {b"f32": 4, b"f64": 8}
 
 
 def length_fields(raw):

@@ -350,6 +350,72 @@ def test_truncated_container_exit_1_one_error_line(tmp_path, capsys, command):
     assert err == f"error: {raised.value}\n"
 
 
+UNREAD_FLAGS = [  # (command, flag, value) of flags these commands do not take
+    ("embed", "--seed", "5"),
+    ("embed", "--precision", "check64"),
+    ("generate", "--seed", "5"),
+    ("generate", "--precision", "check64"),
+    ("jl-dim", "--seed", "5"),
+    ("jl-dim", "--precision", "check64"),
+    ("invert", "--precision", "check64"),
+    ("make-pairs", "--precision", "check64"),
+    ("retrieve-eval", "--precision", "check64"),
+    ("train-retrieval-infonce", "--precision", "check64"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD_FLAGS)
+def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys, command, flag, value):
+    required = {**CONTAINER_COMMANDS, "jl-dim": ["--m", "100"], "make-pairs": []}[command]
+    flags = [f.format(ckpt=tmp_path / "in.ckpt", pairs=tmp_path / "pairs.tsv") for f in required]
+    out = tmp_path / "o"
+    assert run_cli([command, *flags, flag, value, "--out", str(out)]) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["stpes", "prefix_len", "help"])
+def test_config_key_that_sets_no_flag_is_usage_error(tmp_path, corpus_file, capsys, key):
+    cfg_path = tmp_path / "defaults.json"
+    cfg_path.write_text(json.dumps({"steps": 2, key: 7}))
+    out = tmp_path / "run"
+    assert run_cli(["train-clm", "--corpus", str(corpus_file), "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage" in err.lower() and f"sets '{key}', not a flag of train-clm" in err
+    assert not out.exists()
+
+
+def test_config_naming_another_command_is_usage_error(tmp_path, corpus_file, capsys):
+    cfg_path = tmp_path / "defaults.json"
+    cfg_path.write_text(json.dumps({"command": "train-clm", "steps": 2, "d_model": 16, "n_layers": 1, "n_ctx": 8}))
+    out = tmp_path / "run"
+    assert run_cli(["train-bidir", "--corpus", str(corpus_file), "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "is for command 'train-clm', not 'train-bidir'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,outputs",
+    [
+        (
+            ["train-clm", "--corpus", "{corpus}", "--steps", "5", "--batch-size", "4", "--d-model", "16",
+             "--n-layers", "1", "--n-ctx", "8", "--seed", "3", "--eval-every", "2"],
+            ["metrics.csv", "model.ckpt"],
+        ),
+        (["make-pairs", "--count", "30", "--key-len", "4", "--value-style", "random", "--seed", "2"], ["pairs.tsv"]),
+    ],
+)
+def test_run_config_reproduces_the_run(tmp_path, corpus_file, argv, outputs):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli([a.format(corpus=corpus_file) for a in argv] + ["--out", str(first)]) == 0
+    assert run_cli([argv[0], "--config", str(first / "config.json"), "--out", str(again)]) == 0
+    for name in outputs:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+    echoed = json.loads((first / "config.json").read_text())
+    echoed.update(config=str(first / "config.json"), out=str(again))
+    assert json.loads((again / "config.json").read_text()) == echoed
+
+
 @pytest.mark.parametrize("command", ["train-clm", "embed"])
 def test_non_utf8_text_exit_1_names_file_and_offset(tmp_path, capsys, command):
     text = bytearray(b"ab?\tab=ab\n" * 1000)
@@ -473,6 +539,11 @@ COUNT_CASES = {  # case: (a count or rate it cannot run, the error naming it, th
     "train-retrieval-infonce/tau=nan": (["--tau", "nan"], "tau must be finite and > 0, got nan", "model.ckpt"),
     "train-retrieval-infonce/tau=inf": (["--tau", "inf"], "tau must be finite and > 0, got inf", "model.ckpt"),
     "train-retrieval-infonce/tau=-1": (["--tau", "-1"], "tau must be finite and > 0, got -1.0", "model.ckpt"),
+    "make-pairs/count=-5": (["--count", "-5"], "count must be >= 1, got -5", "pairs.tsv"),
+    "make-pairs/key-len=0": (["--key-len", "0"], "key_len must be >= 1, got 0", "pairs.tsv"),
+    "make-pairs/payload-len=-2": (
+        ["--payload-len", "-2", "--value-style", "random"], "payload_len must be >= 1, got -2", "pairs.tsv",
+    ),
 }
 
 
@@ -485,7 +556,7 @@ def test_count_it_cannot_run_exit_1_names_value(tmp_path, capsys, case):
     cfg = ModelConfig("masked_mixer", d_model=16, n_layers=1, n_ctx=16, vocab=259, padding_side="left")
     save_checkpoint(build_model(cfg, seed=0), ckpt)
     count, message, artifact = COUNT_CASES[case]
-    flags = [f.format(ckpt=ckpt, pairs=pairs) for f in CONTAINER_COMMANDS[command]]
+    flags = [f.format(ckpt=ckpt, pairs=pairs) for f in CONTAINER_COMMANDS.get(command, [])]
     capsys.readouterr()
     out = tmp_path / "o"
     assert run_cli([command, *flags, *count, "--out", str(out)]) == 1

@@ -160,6 +160,24 @@ def test_synthetic_pairs_share_key_prefix():
         assert t.startswith(q[:-1])
 
 
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"count": -5}, "count must be >= 1, got -5"),
+        ({"count": 0}, "count must be >= 1, got 0"),
+        ({"key_len": 0}, "key_len must be >= 1, got 0"),
+        ({"payload_len": -2, "value_style": "random"}, "payload_len must be >= 1, got -2"),
+        ({"value_style": "cpy"}, "value_style must be 'copy' or 'random', got 'cpy'"),
+    ],
+)
+def test_synthetic_pairs_rejects_bad_value_before_drawing(kwargs, message):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        synthetic_pairs(**{"count": 4, "rng": rng, **kwargs})
+    assert rng.bit_generator.state == state
+
+
 def test_pairs_file_round_trip(tmp_path):
     pairs = synthetic_pairs(5, np.random.default_rng(2))
     path = tmp_path / "pairs.tsv"

@@ -12,13 +12,16 @@ those four trees passes it, by keyword or by position; one nothing passes
 is a setting no caller chooses, better kept as a module constant. A
 module-level import counts as used when the name it binds appears as a
 name in the same file; the package's `__init__.py` is exempt, since its
-imports are re-exports.
+imports are re-exports. Every flag of a CLI subcommand is read by the
+handler that runs it.
 """
 
 import ast
 import re
 from collections import Counter, defaultdict
 from pathlib import Path
+
+from mixerlab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mixerlab"
@@ -141,3 +144,44 @@ def test_every_defaulted_parameter_of_a_public_function_is_passed():
                 if not any(_passes(call, name, index) for call in calls[fn.name]):
                     unpassed.append(f"{path.name}:{fn.lineno} {fn.name}({name}=)")
     assert not unpassed, "defaulted parameters no call passes: " + ", ".join(unpassed)
+
+
+def _reads(fn, param, defs):
+    """Attributes of `fn`'s parameter `param` that it reads, as `param.x` or `getattr(param, "x", ...)`,
+    directly or through a function of `defs` it passes `param` to by position.
+    """
+    reads = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == param:
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            passed = [i for i, arg in enumerate(node.args) if isinstance(arg, ast.Name) and arg.id == param]
+            if node.func.id == "getattr" and passed == [0] and isinstance(node.args[1], ast.Constant):
+                reads.add(node.args[1].value)
+            elif node.func.id in defs:
+                callee = defs[node.func.id]
+                for i in passed:
+                    reads |= _reads(callee, callee.args.args[i].arg, defs)
+    return reads
+
+
+def test_every_flag_of_a_subcommand_is_read_by_its_handler():
+    # `_echo_config` writes every flag to config.json, so it shows nothing
+    # about which flags take effect; `_parse_args` reads `--config` before
+    # any handler runs
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name != "_echo_config"}
+    parsed = {
+        node.attr for node in ast.walk(defs["_parse_args"])
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
+    _, parsers = cli.build_parser()
+    unread = []
+    for command, parser in parsers.items():
+        handler = defs[cli.HANDLERS.get(command, cli._run_training).__name__]
+        reads = parsed | _reads(handler, handler.args.args[0].arg, defs)
+        unread += [
+            f"{command} {action.option_strings[0]}" for action in parser._actions
+            if action.option_strings and action.dest != "help" and action.dest not in reads
+        ]
+    assert not unread, "flags no handler reads: " + ", ".join(unread)

@@ -92,6 +92,41 @@ def test_embed_corpus_checks_a_mixed_corpus_in_index_order(caplog):
     assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
 
 
+def test_embed_corpus_skips_out_of_vocab_ids_and_keeps_the_valid_rows_bit_for_bit(caplog):
+    cfg = ModelConfig("masked_mixer", d_model=16, n_layers=2, n_ctx=8, vocab=259, padding_side="left")
+    model = build_model(cfg, seed=8)
+    rng = np.random.default_rng(8)
+    valid = [np.concatenate([np.full(3, 256), rng.integers(0, 256, 5)]) for _ in range(40)]
+    above, below, short_and_above = valid[0].copy(), valid[1].copy(), np.full(8, 256)
+    above[-1], below[-2], short_and_above[-1] = 300, -1, 300
+    corpus = valid[:10] + [above] + valid[10:25] + [np.arange(7), below, short_and_above] + valid[25:]
+    with caplog.at_level("WARNING", logger="mixerlab.retrieval"):
+        rows, kept = embed_corpus(model, corpus)
+    assert kept == [*range(10), *range(11, 26), *range(29, 44)]
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping sequence 10: token id out of range for vocab 259",
+        "skipping sequence 26: expected 8 tokens, got shape (7,)",
+        "skipping sequence 27: token id out of range for vocab 259",
+        "skipping sequence 28: sequence must contain at least 2 non-pad token(s)",
+    ]
+    want, _ = embed_corpus(model, valid)
+    assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
+
+
+def test_id_stack_raises_the_first_failing_check_over_all_sequences():
+    cfg = ModelConfig("masked_mixer", d_model=8, n_layers=1, n_ctx=8, vocab=259)
+    good, above, short = np.arange(97, 105), np.full(8, 259), np.array([256] * 7 + [97])
+    assert retrieval._id_stack([good, good], cfg).tolist() == [good.tolist()] * 2
+    for seqs, message in [
+        ([good, above, short, np.arange(7)], "expected 8 tokens, got shape (7,)"),
+        ([good, above, short], "sequence must contain at least 2 non-pad token(s)"),
+        ([good, above], "token id out of range for vocab 259"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            retrieval._id_stack(seqs, cfg)
+        assert str(raised.value) == message
+
+
 def test_embed_corpus_all_skipped_gives_no_rows():
     cfg = ModelConfig("masked_mixer", d_model=16, n_layers=1, n_ctx=8, vocab=259, padding_side="left")
     rows, kept = embed_corpus(build_model(cfg, seed=7), [np.full(8, 256), np.arange(7)])
