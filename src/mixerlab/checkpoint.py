@@ -215,7 +215,7 @@ def load_checkpoint(path):
 def save_embedding_store(store, path):
     write_container(
         path,
-        {"kind": "embeddings", "source_model_id": store.source_model_id, "convention": store.convention},
+        {"kind": "embeddings", "source_model_id": store.source_model_id},
         {"queries": store.queries, "targets": store.targets},
     )
 
@@ -223,19 +223,12 @@ def save_embedding_store(store, path):
 def load_embedding_store(path):
     from .retrieval import EmbeddingStore
 
-    config_obj, tensors = _read_kind(
-        path, "embeddings", {"source_model_id": str, "convention": str}, ["queries", "targets"]
-    )
+    config_obj, tensors = _read_kind(path, "embeddings", {"source_model_id": str}, ["queries", "targets"])
     queries, targets = tensors["queries"], tensors["targets"]
     _check_one_dtype(path, (queries, targets), "embedding tables")
     if queries.ndim != 2:
         raise CheckpointFormatError(f"embedding tables in {path} must be 2-D, got shape {queries.shape}")
     try:
-        return EmbeddingStore(
-            queries=queries,
-            targets=targets,
-            source_model_id=config_obj["source_model_id"],
-            convention=config_obj["convention"],
-        )
+        return EmbeddingStore(queries, targets, config_obj["source_model_id"])
     except ValueError as err:
         raise CheckpointFormatError(f"invalid embeddings in {path}: {err}") from None

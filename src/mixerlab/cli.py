@@ -301,6 +301,8 @@ def _run_retrieve_eval(args):
 
 def _run_invert(args):
     _check_positive(args, "runs")
+    if args.text == "":
+        raise ValueError("--text must hold at least one character, got ''")
     model = load_checkpoint(args.checkpoint)
     n_ctx = model.config.n_ctx
     rng = np.random.default_rng(args.seed)
@@ -336,17 +338,16 @@ def _run_generate(args):
 
 
 def _run_jl(args):
-    m = float(args.m)
-    bound = jl_bound(m, args.eps)
-    n_min = jl_min_dim(m, args.eps)
-    shorthand = jl_shorthand_dim(m, args.eps)
+    bound = jl_bound(args.m, args.eps)
+    n_min = jl_min_dim(args.m, args.eps)
+    shorthand = jl_shorthand_dim(args.m, args.eps)
     print(f"bound = {bound!r}")
     print(f"n_min = {n_min}")
     if shorthand is not None:
         print(f"shorthand (rounds ln(m) first) = {shorthand}")
     with open(args.out / "jl.csv", "w") as fh:
         fh.write("m,eps,bound,n_min,shorthand\n")
-        fh.write(f"{m!r},{args.eps!r},{bound!r},{n_min},{shorthand}\n")
+        fh.write(f"{args.m!r},{args.eps!r},{bound!r},{n_min},{shorthand}\n")
     return 0
 
 
@@ -373,49 +374,56 @@ HANDLERS = {
 }
 
 
-def _config_defaults(path, parser, command):
-    """The flag values a --config file sets for `command`; a run's own config.json names its command.
+def _config_argv(path, parser, command):
+    """A --config file as flag tokens of `command`; a run's own config.json names its command.
 
-    An unreadable or malformed file, another command or a key that is no flag of `command` is a usage error.
+    Each value (a string, a number, or true/false for a switch) becomes
+    `--flag=value` for argparse to check; true is the bare switch, and false
+    or null keeps the flag's default. A malformed file, another command, a
+    key that is no flag of `command` or a value of another kind is a usage error.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            defaults = json.load(fh)
+            values = json.load(fh)
     except OSError as e:
         parser.error(f"argument --config: cannot read {path}: {e.strerror}")
     except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
         parser.error(f"argument --config: {path} is not valid JSON: {e}")
-    if not isinstance(defaults, dict):
+    if not isinstance(values, dict):
         parser.error(f"argument --config: {path} must hold a JSON object")
-    other = defaults.pop("command", command)
+    other = values.pop("command", command)
     if other != command:
         parser.error(f"argument --config: {path} is for command {other!r}, not {command!r}")
-    dests = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
-    unknown = [key for key in defaults if key not in dests]
+    actions = {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+    unknown = [key for key in values if key not in actions]
     if unknown:
         parser.error(f"argument --config: {path} sets {', '.join(map(repr, unknown))}, not a flag of {command}")
-    return defaults
+    tokens = []
+    for key, value in values.items():
+        flag, switch = actions[key].option_strings[0], actions[key].nargs == 0
+        kinds = bool if switch else (int, float) if actions[key].type in (int, float) else str
+        if value is None or (value is False and switch):
+            continue
+        if not isinstance(value, kinds) or isinstance(value, bool) != switch:
+            what = {bool: "true or false", str: "a string"}.get(kinds, "a number")
+            parser.error(f"argument --config: {path} sets {key!r} to {json.dumps(value)}, not {what}")
+        tokens.append(flag if switch else f"{flag}={value}")
+    return tokens
 
 
 def _parse_args(parser, parsers, argv):
-    """Parse argv; a --config file supplies defaults for the subcommand.
+    """Parse argv with the flag tokens of its --config file placed first, so explicit flags win.
 
-    Explicit flags win over the file, and a key in the file satisfies a
-    required flag. The first pass waives required flags only to find the
-    subcommand and the --config path; the second pass enforces them.
+    A first pass, with required flags waived, only finds the subcommand and the --config path.
     """
     required = [a for p in parsers.values() for a in p._actions if a.required]
     for action in required:
         action.required = False
     args = parser.parse_args(argv)
-    defaults = {}
-    if args.config is not None:
-        sub = parsers[args.command]
-        defaults = _config_defaults(args.config, sub, args.command)
-        sub.set_defaults(**defaults)
     for action in required:
-        action.required = action.dest not in defaults
-    return parser.parse_args(argv)
+        action.required = True
+    tokens = [] if args.config is None else _config_argv(args.config, parsers[args.command], args.command)
+    return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
 def run_cli(argv=None):

@@ -9,8 +9,8 @@ import math
 
 def jl_bound(m, eps):
     """The raw bound 8 ln(m) / eps^2 (full precision, not rounded)."""
-    if m < 2:
-        raise ValueError(f"need at least 2 points, got {m}")
+    if not 2 <= m < math.inf:
+        raise ValueError(f"m must be finite and >= 2, got {m}")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     return 8.0 * math.log(m) / (eps * eps)

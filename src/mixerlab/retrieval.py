@@ -34,7 +34,6 @@ class EmbeddingStore:
     queries: np.ndarray
     targets: np.ndarray
     source_model_id: str = ""
-    convention: str = "second-to-last-token last hidden layer"
 
     def __post_init__(self):
         if self.queries.shape != self.targets.shape:
@@ -147,8 +146,8 @@ def split_store(store, holdout):
         raise ValueError(f"holdout must lie in (0, {len(store)}), got {holdout}")
     cut = len(store) - holdout
     return (
-        EmbeddingStore(store.queries[:cut], store.targets[:cut], store.source_model_id, store.convention),
-        EmbeddingStore(store.queries[cut:], store.targets[cut:], store.source_model_id, store.convention),
+        EmbeddingStore(store.queries[:cut], store.targets[:cut], store.source_model_id),
+        EmbeddingStore(store.queries[cut:], store.targets[cut:], store.source_model_id),
     )
 
 
@@ -162,7 +161,7 @@ def _unit_rows(stores, transform):
         q, t = transform(store)
         q = q / np.linalg.norm(q, axis=1, keepdims=True)
         t = t / np.linalg.norm(t, axis=1, keepdims=True)
-        out.append(EmbeddingStore(q, t, store.source_model_id, store.convention))
+        out.append(EmbeddingStore(q, t, store.source_model_id))
     return out[0] if len(out) == 1 else tuple(out)
 
 

@@ -196,6 +196,22 @@ def test_embedding_store_round_trip(tmp_path):
     assert loaded.source_model_id == "gen0"
 
 
+def test_embedding_store_written_without_convention_and_old_container_with_it_loads(tmp_path):
+    rng = np.random.default_rng(6)
+    store = EmbeddingStore(queries=rng.normal(size=(5, 8)), targets=rng.normal(size=(5, 8)), source_model_id="gen0")
+    path = tmp_path / "emb.ckpt"
+    save_embedding_store(store, path)
+    assert read_container(path)[0] == {"kind": "embeddings", "source_model_id": "gen0"}
+    old = tmp_path / "old.ckpt"
+    blob = {"kind": "embeddings", "source_model_id": "gen0", "convention": "second-to-last-token last hidden layer"}
+    write_container(old, blob, {"queries": store.queries, "targets": store.targets})
+    loaded = load_embedding_store(old)
+    assert loaded.source_model_id == "gen0"
+    for table in ("queries", "targets"):
+        assert getattr(loaded, table).dtype == np.float64
+        assert getattr(loaded, table).tobytes() == getattr(store, table).tobytes()
+
+
 def test_kind_mismatch_rejected(tmp_path):
     path = tmp_path / "emb.ckpt"
     save_embedding_store(tiny_embedding_store(), path)
@@ -310,7 +326,7 @@ def test_model_float64_loads(tmp_path):
     assert load_checkpoint(path).dtype == np.float64
 
 
-EMBEDDINGS = {"kind": "embeddings", "source_model_id": "m", "convention": "c"}
+EMBEDDINGS = {"kind": "embeddings", "source_model_id": "m"}
 TABLE = np.zeros((3, 4), np.float32)
 NAN_TABLE = np.where(np.arange(12).reshape(3, 4) == 6, np.float32(np.nan), TABLE)
 
@@ -320,7 +336,6 @@ NAN_TABLE = np.where(np.arange(12).reshape(3, 4) == 6, np.float32(np.nan), TABLE
     [
         (EMBEDDINGS, {"targets": TABLE}, "lacks tensor 'queries'"),
         (EMBEDDINGS, {"queries": TABLE}, "lacks tensor 'targets'"),
-        ({**EMBEDDINGS, "convention": None}, {"queries": TABLE, "targets": TABLE}, "lacks a str config value"),
         (EMBEDDINGS, {"queries": TABLE, "targets": TABLE[:2]}, "pair by index"),
         (EMBEDDINGS, {"queries": TABLE[0], "targets": TABLE[0]}, "must be 2-D"),
         (EMBEDDINGS, {"queries": NAN_TABLE, "targets": TABLE}, "non-finite"),
@@ -347,7 +362,7 @@ def model_state(model):
 
 def embedding_state(store):
     tables = [(t.dtype, t.shape, t.tobytes()) for t in (store.queries, store.targets)]
-    return store.source_model_id, store.convention, tables
+    return store.source_model_id, tables
 
 
 def tiny_embedding_store():
@@ -489,6 +504,9 @@ def test_jl_shorthand_rounding():
 def test_jl_rejects_bad_args():
     with pytest.raises(ValueError):
         jl_min_dim(1, 1.0)
+    for m in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"m must be finite and >= 2, got {m}"):
+            jl_bound(m, 1.0)
     with pytest.raises(ValueError):
         jl_min_dim(100, 0.0)
     with pytest.raises(ValueError):

@@ -57,6 +57,13 @@ def test_jl_dim_bad_eps_is_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("m", ["nan", "inf", "1"])
+def test_jl_dim_m_not_a_finite_count_of_two_or_more_exit_1_names_m(tmp_path, capsys, m):
+    assert run_cli(["jl-dim", "--m", m, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: m must be finite and >= 2, got {float(m)}\n"
+    assert not (tmp_path / "o" / "jl.csv").exists()
+
+
 def test_invert_missing_checkpoint_exit_1(tmp_path, capsys):
     code = run_cli(["invert", "--checkpoint", str(tmp_path / "nope.ckpt"), "--runs", "1", "--out", str(tmp_path / "o")])
     assert code == 1
@@ -394,6 +401,62 @@ def test_config_naming_another_command_is_usage_error(tmp_path, corpus_file, cap
     assert not out.exists()
 
 
+BAD_CONFIG_VALUES = {  # case: (command, --config contents, what the usage error says)
+    "family=rnn": ("train-clm", {"family": "rnn"}, "argument --family: invalid choice: 'rnn'"),
+    "precision=bogus": ("train-clm", {"precision": "bogus"}, "argument --precision: invalid choice: 'bogus'"),
+    "steps=1.5": ("train-clm", {"steps": 1.5}, "argument --steps: invalid int value: '1.5'"),
+    "d_model=8.0": ("train-clm", {"d_model": 8.0}, "argument --d-model: invalid int value: '8.0'"),
+    "softmax_weights=no": ("train-clm", {"softmax_weights": "no"}, """sets 'softmax_weights' to "no", not true or false"""),
+    "steps=[3]": ("train-clm", {"steps": [3]}, "sets 'steps' to [3], not a number"),
+    "eval_every=false": ("train-clm", {"eval_every": False}, "sets 'eval_every' to false, not a number"),
+    "seed=object": ("train-clm", {"seed": {"value": 3}}, """sets 'seed' to {"value": 3}, not a number"""),
+    "sizes=32": ("retrieve-eval", {"sizes": 32}, "sets 'sizes' to 32, not a string"),
+    "text=true": ("invert", {"text": True}, "sets 'text' to true, not a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_config_value_its_flag_rejects_is_usage_error(tmp_path, corpus_file, capsys, case):
+    command, values, message = BAD_CONFIG_VALUES[case]
+    cfg_path = tmp_path / "defaults.json"
+    cfg_path.write_text(json.dumps(values))
+    required = {**CONTAINER_COMMANDS, "train-clm": ["--corpus", "{corpus}", "--eval-every", "1"]}[command]
+    flags = [f.format(ckpt=tmp_path / "in.ckpt", pairs=tmp_path / "pairs.tsv", corpus=corpus_file) for f in required]
+    out = tmp_path / "o"
+    assert run_cli([command, *flags, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage" in err.lower() and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values,flags", [({"softmax_weights": True}, ["--softmax-weights"]), ({"heads": None}, [])])
+def test_config_value_runs_as_its_flag(tmp_path, corpus_file, values, flags):
+    cfg_path = tmp_path / "defaults.json"
+    cfg_path.write_text(json.dumps(values))
+    argv = ["train-clm", "--corpus", str(corpus_file), "--steps", "3", "--batch-size", "2", "--d-model", "16",
+            "--n-layers", "1", "--n-ctx", "8", "--eval-every", "2"]
+    flagged, configured = tmp_path / "flagged", tmp_path / "configured"
+    assert run_cli([*argv, *flags, "--out", str(flagged)]) == 0
+    assert run_cli([*argv, "--config", str(cfg_path), "--out", str(configured)]) == 0
+    for name in ("metrics.csv", "model.ckpt"):
+        assert (configured / name).read_bytes() == (flagged / name).read_bytes(), name
+    assert load_checkpoint(configured / "model.ckpt").config.softmax_weights == bool(flags)
+
+
+@pytest.mark.parametrize(
+    "command,values",
+    [("make-pairs", {"seed": -1}), ("invert", {"checkpoint": "in.ckpt", "seed": -1, "text": "-x"})],
+)
+def test_config_value_starting_with_a_dash_reaches_the_handler(tmp_path, monkeypatch, command, values):
+    seen = []
+    monkeypatch.setitem(cli.HANDLERS, command, lambda args: seen.append(args) or 0)
+    cfg_path = tmp_path / "defaults.json"
+    cfg_path.write_text(json.dumps(values))
+    assert run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert type(seen[0].seed) is int and seen[0].seed == -1
+    assert getattr(seen[0], "text", None) == values.get("text")
+
+
 @pytest.mark.parametrize(
     "argv,outputs",
     [
@@ -539,6 +602,7 @@ COUNT_CASES = {  # case: (a count or rate it cannot run, the error naming it, th
     "train-retrieval-infonce/tau=nan": (["--tau", "nan"], "tau must be finite and > 0, got nan", "model.ckpt"),
     "train-retrieval-infonce/tau=inf": (["--tau", "inf"], "tau must be finite and > 0, got inf", "model.ckpt"),
     "train-retrieval-infonce/tau=-1": (["--tau", "-1"], "tau must be finite and > 0, got -1.0", "model.ckpt"),
+    "invert/text=": (["--text", ""], "--text must hold at least one character, got ''", "inversion.csv"),
     "make-pairs/count=-5": (["--count", "-5"], "count must be >= 1, got -5", "pairs.tsv"),
     "make-pairs/key-len=0": (["--key-len", "0"], "key_len must be >= 1, got 0", "pairs.tsv"),
     "make-pairs/payload-len=-2": (
