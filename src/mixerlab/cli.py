@@ -24,7 +24,6 @@ from .jl import jl_bound, jl_min_dim, jl_shorthand_dim
 from .models import FAMILIES, ModelConfig, build_model, generate
 from .retrieval import (
     InfoNCEConfig,
-    TooFewEvalPairs,
     _check_eval_sizes,
     embed_pair_store,
     eval_topk_accuracy,
@@ -234,22 +233,21 @@ def _run_indirect(args):
         raise ValueError(f"candidates must be >= 2, got {args.candidates}")
     store = load_embedding_store(args.embeddings)
     holdout = _holdout(args, len(store))
+    if holdout < args.candidates:
+        raise ValueError(
+            f"--holdout {holdout} gives fewer eval pairs than --candidates {args.candidates}; "
+            "raise --holdout or lower --candidates"
+        )
     train_store, eval_store = normalize_store(store, holdout=holdout, dim=args.pca_dim)
     scorer = build_model(
         ModelConfig("retrieval_mixer", d_model=train_store.queries.shape[1], n_layers=args.n_layers, n_ctx=args.candidates, vocab=3),
         seed=args.seed,
         dtype=T.dtype_for(args.precision),
     )
-    try:
-        report = train_indirect(
-            scorer, train_store, eval_store, steps=args.steps, batch_size=args.batch_size, lr=args.lr,
-            seed=args.seed, eval_every=args.eval_every,
-        )
-    except TooFewEvalPairs:
-        raise ValueError(
-            f"--holdout {holdout} gives fewer eval pairs than --candidates {args.candidates}; "
-            "raise --holdout or lower --candidates"
-        ) from None
+    report = train_indirect(
+        scorer, train_store, eval_store, steps=args.steps, batch_size=args.batch_size, lr=args.lr,
+        seed=args.seed, eval_every=args.eval_every,
+    )
     write_metrics_csv(args.out / "metrics.csv", report)
     save_checkpoint(scorer, args.out / "retrieval-model.ckpt")
     print(f"eval CE: {report.records[0].eval_loss!r} -> {report.final_eval_loss()!r} (ln c = {float(np.log(args.candidates))!r})")

@@ -26,7 +26,9 @@ def jl_shorthand_dim(m, eps):
 
     Quoted estimates often use this shortcut (giving e.g. 184 where the
     exact ceiling is 185); both values are reported by the calculator.
+    Raises `jl_bound`'s ValueError for a bad `m` or `eps`.
     """
+    jl_bound(m, eps)
     if eps != 1.0:
         return None
     return 8 * round(math.log(m))

@@ -58,10 +58,6 @@ class RetrievalBatch:
             raise ValueError(f"match index {self.m} outside [1, {c - 1}]")
 
 
-class TooFewEvalPairs(ValueError):
-    """An eval store holds fewer pairs than one candidate set needs."""
-
-
 @dataclass(frozen=True)
 class InfoNCEConfig:
     tau: float = 0.02
@@ -246,13 +242,13 @@ def train_indirect(model, store, eval_store, steps=200, batch_size=16, lr=1e-4, 
     The match-detection circuit sits behind a long optimization plateau, so
     the learning rate stays constant. Every eval point scores one candidate
     set per eval pair, drawn once from `seed + 1`, so `eval_store` needs at
-    least as many pairs as a set has candidates (TooFewEvalPairs).
+    least as many pairs as a set has candidates.
     """
     _check_rate("lr", lr)
     run_cfg = TrainConfig(steps=steps, batch_size=batch_size, eval_every=eval_every)
     c = model.config.n_ctx
     if len(eval_store) < c:
-        raise TooFewEvalPairs(f"{c} candidates per set need at least {c} eval pairs, have {len(eval_store)}")
+        raise ValueError(f"{c} candidates per set need at least {c} eval pairs, have {len(eval_store)}")
     rng = np.random.default_rng(seed)
     eval_rng = np.random.default_rng(seed + 1)
     eval_sets = [sample_retrieval_batch(eval_store, n, c, eval_rng) for n in range(len(eval_store))]

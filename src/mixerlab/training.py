@@ -127,18 +127,16 @@ def write_metrics_csv(path, report):
 # ---------------------------------------------------------------------------
 # optimizer
 
-class AdamWState(dict):
+class AdamWState:
     """AdamW's moments in two flat buffers, `m` and `v`, one entry per parameter value.
 
     Parameters are laid out in the model's order; `span[name]` is parameter
-    `name`'s (start, stop) in both buffers, and `state[name]["m"]` and
-    `state[name]["v"]` are views of that span shaped like the parameter.
-    `last_values` holds, per run of parameters (see `adamw_step`), the flat
-    array the last step's parameter values are views of.
+    `name`'s (start, stop) in both buffers. `last_values` holds, per run of
+    parameters (see `gradient_runs`), the flat array the last step's
+    parameter values are views of.
     """
 
     def __init__(self, params):
-        super().__init__()
         dtypes = {p.data.dtype for p in params.values()}
         if len(dtypes) > 1:
             raise ValueError(f"AdamW needs one parameter dtype, got {sorted(map(str, dtypes))}")
@@ -148,35 +146,17 @@ class AdamWState(dict):
             size += p.data.size
         dtype = dtypes.pop() if dtypes else np.float32
         self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
-        for name, (a, b) in self.span.items():
-            shape = params[name].data.shape
-            self[name] = {"m": self.m[a:b].reshape(shape), "v": self.v[a:b].reshape(shape)}
         self.last_values = {}
 
 
-class _FlatGrads(dict):
-    """Gradients gathered into one flat array per run of names.
-
-    A run is a maximal run of consecutive names of `order` whose gradients
-    are given and share one dtype. Each entry is a view of its run's array,
-    shaped like the gradient, so scaling a run's array in place scales its
-    entries. `runs` lists (names, array) in order.
-    """
-
-    def __init__(self, order, grads):
-        super().__init__()
-        self.runs = []
-        # keyed by dtype string: a numpy dtype compares equal to None
-        for dtype, names in groupby(order, lambda n: None if grads.get(n) is None else grads[n].dtype.str):
-            if dtype is None:
-                continue
+def gradient_runs(params):
+    """[(names, flat_grad)]: one flat gradient array per run of consecutive parameters that hold a `.grad`, in order."""
+    runs = []
+    for has_grad, names in groupby(params, lambda n: params[n].grad is not None):
+        if has_grad:
             names = list(names)
-            flat = np.concatenate([grads[n] for n in names], axis=None)
-            start = 0
-            for n in names:
-                self[n] = flat[start:start + grads[n].size].reshape(grads[n].shape)
-                start += grads[n].size
-            self.runs.append((names, flat))
+            runs.append((names, np.concatenate([params[n].grad for n in names], axis=None)))
+    return runs
 
 
 def adamw_state(model):
@@ -192,18 +172,17 @@ def _flat_values(params, names, state):
     return np.concatenate([params[n].data for n in names], axis=None)
 
 
-def adamw_step(params, grads, state, cfg, step, lr_t):
+def adamw_step(params, runs, state, cfg, step, lr_t):
     """Decoupled-weight-decay Adam update; `step` is 1-based for bias correction.
 
-    The update runs once per run of consecutive parameters that have a
-    gradient, over the run's flat gradient, moment and value arrays, in two
-    scratch arrays; m and v are updated in place. Each `p.data` is rebound
-    to a view of a new flat array, never written into, so a snapshot that
-    holds an old array keeps its values.
+    The update runs once per entry of `runs` (see `gradient_runs`), over
+    the run's flat gradient, moment and value arrays, in two scratch
+    arrays; m and v are updated in place. Each `p.data` is rebound to a
+    view of a new flat array, never written into, so a snapshot that holds
+    an old array keeps its values.
     """
     b1, b2 = ADAM_BETAS
-    grads = grads if isinstance(grads, _FlatGrads) else _FlatGrads(params, grads)
-    for names, g in grads.runs:
+    for names, g in runs:
         start, stop = state.span[names[0]][0], state.span[names[-1]][1]
         m, v = state.m[start:stop], state.v[start:stop]
         x = _flat_values(params, names, state)
@@ -231,30 +210,24 @@ def adamw_step(params, grads, state, cfg, step, lr_t):
         state.last_values[start, stop] = (t, views)
 
 
-def clip_global_norm(grads, max_norm):
-    """Scale `grads` in place to a global L2 norm of at most `max_norm`; returns the norm before.
+def clip_global_norm(params, runs, max_norm):
+    """Scale the flat gradients of `runs` in place to a global L2 norm of at most `max_norm`; returns the norm before.
 
-    Each entry's float64 sum of squares is added in the dict's order. The
-    scale is applied in each gradient's own dtype, to the flat run arrays
-    the entries are views of; a plain dict's entries are first gathered
-    into such arrays and rebound to their views.
+    Each parameter's float64 sum of squares is added in the runs' order,
+    and the scale is applied in the gradients' own dtype.
     """
-    if not isinstance(grads, _FlatGrads):
-        flat = _FlatGrads(grads, grads)
-        grads.update(flat)
-        grads = flat
     total = 0.0
-    for names, g in grads.runs:
+    for names, g in runs:
         squares = np.square(g, dtype=np.float64)
         start = 0
         for n in names:
-            size = grads[n].size
-            total += float(np.add.reduce(squares[start:start + size]))
-            start += size
+            stop = start + params[n].data.size
+            total += float(np.add.reduce(squares[start:stop]))
+            start = stop
     total = np.sqrt(total)
     if total > max_norm and total > 0:
         scale = max_norm / total
-        for _, g in grads.runs:
+        for _, g in runs:
             g *= g.dtype.type(scale)
     return total
 
@@ -408,10 +381,10 @@ def _run_steps(model, cfg, lr_at, step_loss, eval_loss, tokens_per_step, first_l
         if not np.isfinite(loss_val):
             raise diverged(step, "non-finite loss")
         backward(loss)
-        grads = _FlatGrads(model.params, {name: p.grad for name, p in model.params.items()})
+        runs = gradient_runs(model.params)
         if cfg.grad_clip is not None:
-            clip_global_norm(grads, cfg.grad_clip)
-        adamw_step(model.params, grads, state, cfg, step + 1, lr_at(step))
+            clip_global_norm(model.params, runs, cfg.grad_clip)
+        adamw_step(model.params, runs, state, cfg, step + 1, lr_at(step))
         for p in model.params.values():
             p.grad = None
         since_eval.append(loss_val)

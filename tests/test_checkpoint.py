@@ -511,6 +511,12 @@ def test_jl_rejects_bad_args():
         jl_min_dim(100, 0.0)
     with pytest.raises(ValueError):
         jl_min_dim(100, 1.5)
+    for m in (0.5, 1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^m must be finite and >= 2, got {m}$"):
+            jl_shorthand_dim(m, 1.0)
+    for eps in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=f"^eps must lie in \\(0, 1\\], got {eps}$"):
+            jl_shorthand_dim(100, eps)
 
 
 def test_jl_bound_monotone_in_eps():

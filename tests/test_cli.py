@@ -244,19 +244,22 @@ def test_bad_config_file_is_usage_error(tmp_path, corpus_file, capsys, case):
     assert not (tmp_path / "run").exists()
 
 
-def test_indirect_eval_split_below_candidates_exit_1_names_both_flags(tmp_path, capsys):
+def test_indirect_eval_split_below_candidates_exit_1_names_both_flags(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(1)
     emb = tmp_path / "emb.ckpt"
     save_embedding_store(EmbeddingStore(queries=rng.normal(size=(200, 8)), targets=rng.normal(size=(200, 8))), emb)
     out = tmp_path / "ret"
+    normalized = []
+    normalize_store = cli.normalize_store
+    monkeypatch.setattr(cli, "normalize_store", lambda *a, **kw: normalized.append(a) or normalize_store(*a, **kw))
     capsys.readouterr()
     assert run_cli(["train-retrieval-indirect", "--embeddings", str(emb), "--steps", "1", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: --holdout 20 gives fewer eval pairs than --candidates 32; raise --holdout or lower --candidates\n"
     )
-    assert not (out / "metrics.csv").exists()
+    assert not (out / "metrics.csv").exists() and normalized == []
     argv = ["train-retrieval-indirect", "--embeddings", str(emb), "--steps", "1", "--holdout", "40", "--out", str(out)]
-    assert run_cli(argv) == 0
+    assert run_cli(argv) == 0 and len(normalized) == 1
     summary = capsys.readouterr().out
     assert summary.endswith(f" (ln c = {float(np.log(32))!r})\n") and "np.float64" not in summary
 
@@ -556,7 +559,7 @@ def test_rate_below_zero_or_nan_exit_1_names_field(tmp_path, corpus_file, capsys
         store = tmp_path / "in.ckpt"
         rng = np.random.default_rng(1)
         save_embedding_store(EmbeddingStore(queries=rng.normal(size=(24, 8)), targets=rng.normal(size=(24, 8))), store)
-        argv = ["--embeddings", str(store), "--steps", "1", "--candidates", "4"]
+        argv = ["--embeddings", str(store), "--steps", "1", "--candidates", "4", "--holdout", "4"]
         artifact = "retrieval-model.ckpt"
     else:
         pairs, ckpt = tmp_path / "pairs.tsv", tmp_path / "in.ckpt"
@@ -649,7 +652,7 @@ def test_model_size_it_cannot_run_exit_1_names_field(tmp_path, corpus_file, caps
         store = tmp_path / "in.ckpt"
         rng = np.random.default_rng(1)
         save_embedding_store(EmbeddingStore(queries=rng.normal(size=(24, 8)), targets=rng.normal(size=(24, 8))), store)
-        argv = [command, "--embeddings", str(store), "--steps", "1", "--candidates", "4"]
+        argv = [command, "--embeddings", str(store), "--steps", "1", "--candidates", "4", "--holdout", "4"]
         artifact = "retrieval-model.ckpt"
     capsys.readouterr()
     out = tmp_path / "o"

@@ -13,7 +13,10 @@ is a setting no caller chooses, better kept as a module constant. A
 module-level import counts as used when the name it binds appears as a
 name in the same file; the package's `__init__.py` is exempt, since its
 imports are re-exports. Every flag of a CLI subcommand is read by the
-handler that runs it.
+handler that runs it. The count of settable values (fields of `*Config`
+classes, defaulted parameters of public functions and methods, flags of
+every subcommand) is pinned, so a new knob has to retire an old one or
+move the pin in the same change.
 """
 
 import ast
@@ -185,3 +188,27 @@ def test_every_flag_of_a_subcommand_is_read_by_its_handler():
             if action.option_strings and action.dest != "help" and action.dest not in reads
         ]
     assert not unread, "flags no handler reads: " + ", ".join(unread)
+
+
+# 33 config fields + 35 defaulted parameters + 164 subcommand flags
+SETTABLE_VALUES = 232
+
+
+def test_settable_values_do_not_grow():
+    fields = params = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Config"):
+                fields += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+        for fn, _ in _public_functions(tree):
+            params += len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+    _, parsers = cli.build_parser()
+    flags = sum(
+        bool(action.option_strings) and action.dest != "help" for parser in parsers.values() for action in parser._actions
+    )
+    total = fields + params + flags
+    assert total == SETTABLE_VALUES, (
+        f"{total} settable values ({fields} config fields + {params} defaulted parameters + {flags} flags), "
+        f"pinned at {SETTABLE_VALUES}"
+    )

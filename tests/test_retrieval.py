@@ -376,7 +376,7 @@ def test_indirect_rejects_an_eval_store_smaller_than_a_candidate_set_before_draw
     draws = []
     monkeypatch.setattr(retrieval, "sample_retrieval_batch", lambda *a: draws.append(a))
     model = build_model(ModelConfig("retrieval_mixer", d_model=4, n_layers=1, n_ctx=8, vocab=3), seed=0)
-    with pytest.raises(retrieval.TooFewEvalPairs, match="^8 candidates per set need at least 8 eval pairs, have 7$"):
+    with pytest.raises(ValueError, match="^8 candidates per set need at least 8 eval pairs, have 7$"):
         train_indirect(model, toy_store(n=16, d=4), toy_store(n=7, d=4), steps=2, batch_size=2)
     assert draws == []
 

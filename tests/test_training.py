@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mixerlab import tensor as T
+from mixerlab import training
 from mixerlab.data import PAD_ID, ChunkStore, build_corpus, chunk_and_pad
 from mixerlab.models import FAMILIES, ModelConfig, build_model
 from mixerlab.tensor import CHECK64, Tensor, backward
@@ -21,6 +22,7 @@ from mixerlab.training import (
     _run_steps,
     clip_global_norm,
     evaluate,
+    gradient_runs,
     many_token_logits,
     train,
 )
@@ -47,20 +49,28 @@ def mixer_cfg(**kw):
 # ---------------------------------------------------------------------------
 # AdamW
 
+def _moments(state, name):
+    """The (m, v) entries of parameter `name`, read through `state.span`."""
+    a, b = state.span[name]
+    return state.m[a:b], state.v[a:b]
+
+
 def test_adamw_single_step_closed_form():
     cfg = TrainConfig(steps=10, lr=0.1, weight_decay=0.0)
     p = Tensor(np.array([2.0]), requires_grad=True)
     params = {"p": p}
     state = adamw_state(type("M", (), {"params": params})())
     g = np.array([0.5])
-    adamw_step(params, {"p": g}, state, cfg, step=1, lr_t=0.1)
+    p.grad = g
+    adamw_step(params, gradient_runs(params), state, cfg, step=1, lr_t=0.1)
     b1, b2 = ADAM_BETAS
     m_hat = (1 - b1) * g / (1 - b1)
     v_hat = (1 - b2) * g * g / (1 - b2)
     expect = 2.0 - 0.1 * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     assert p.data == pytest.approx(expect, abs=1e-12)
-    assert state["p"]["m"] == pytest.approx((1 - b1) * g)
-    assert state["p"]["v"] == pytest.approx((1 - b2) * g * g)
+    m, v = _moments(state, "p")
+    assert m == pytest.approx((1 - b1) * g)
+    assert v == pytest.approx((1 - b2) * g * g)
 
 
 def test_adamw_zero_grad_zero_decay_is_noop():
@@ -68,7 +78,8 @@ def test_adamw_zero_grad_zero_decay_is_noop():
     p = Tensor(np.array([1.5, -2.0]), requires_grad=True)
     params = {"p": p}
     state = adamw_state(type("M", (), {"params": params})())
-    adamw_step(params, {"p": np.zeros(2)}, state, cfg, step=1, lr_t=0.1)
+    p.grad = np.zeros(2)
+    adamw_step(params, gradient_runs(params), state, cfg, step=1, lr_t=0.1)
     assert np.array_equal(p.data, np.array([1.5, -2.0]))
 
 
@@ -81,7 +92,7 @@ def test_adamw_quadratic_bowl_converges():
         x.grad = None
         loss = T.mul(T.add(x, -3.0), T.add(x, -3.0))
         backward(loss)
-        adamw_step(params, {"x": x.grad}, state, cfg, step + 1, cfg.lr_at(step, 0.05))
+        adamw_step(params, gradient_runs(params), state, cfg, step + 1, cfg.lr_at(step, 0.05))
     assert abs(x.data[0] - 3.0) < 1e-3
 
 
@@ -92,18 +103,56 @@ def test_lr_schedule_linear_to_zero():
     assert cfg.lr_at(100, 0.4) == 0.0
 
 
+def _with_grads(grads):
+    """Parameters named like `grads`, each holding its entry as `.grad`."""
+    params = {}
+    for name, g in grads.items():
+        params[name] = Tensor(np.zeros_like(g), requires_grad=True)
+        params[name].grad = g
+    return params
+
+
+def test_gradient_runs_split_at_a_parameter_without_a_gradient_in_the_model_order():
+    params = _with_grads({"a": np.array([1.0, 2.0]), "b": np.array([3.0]), "c": np.array([4.0]), "d": np.array([[5.0, 6.0]])})
+    params["c"].grad = None
+    runs = gradient_runs(params)
+    assert [names for names, _ in runs] == [["a", "b"], ["d"]]
+    assert np.array_equal(runs[0][1], [1.0, 2.0, 3.0]) and np.array_equal(runs[1][1], [5.0, 6.0])
+
+
 def test_grad_clip_rescales_to_unit_global_norm():
-    grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
-    total = clip_global_norm(grads, 1.0)
+    params = _with_grads({"a": np.array([3.0, 0.0]), "b": np.array([4.0])})
+    runs = gradient_runs(params)
+    total = clip_global_norm(params, runs, 1.0)
     assert total == pytest.approx(5.0)
-    new_norm = np.sqrt(sum(np.sum(g**2) for g in grads.values()))
+    new_norm = np.sqrt(sum(np.sum(g**2) for _, g in runs))
     assert new_norm == pytest.approx(1.0)
 
 
 def test_grad_clip_preserves_dtype():
-    grads = {"a": np.full(3, 5.0, dtype=np.float32)}
-    clip_global_norm(grads, 1.0)
-    assert grads["a"].dtype == np.float32
+    params = _with_grads({"a": np.full(3, 5.0, dtype=np.float32)})
+    runs = gradient_runs(params)
+    clip_global_norm(params, runs, 1.0)
+    assert runs[0][1].dtype == np.float32
+
+
+def test_train_calls_clip_and_adamw_once_per_step_through_the_module(monkeypatch):
+    """Timing wrappers set on the module attributes see every call the driver makes."""
+    calls = {"clip_global_norm": 0, "adamw_step": 0}
+
+    def counting(name):
+        fn = getattr(training, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(training, name, counting(name))
+    model = build_model(mixer_cfg(d_model=16, n_layers=1), seed=0)
+    train(model, repeated_corpus(), TrainConfig(objective="clm", steps=3, batch_size=2, eval_every=3))
+    assert calls == {"clip_global_norm": 3, "adamw_step": 3}
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
@@ -214,7 +263,7 @@ def test_training_driver_matches_per_parameter_adamw_bit_for_bit(dtype, no_grad,
 
 @OPTIMIZER_CASES
 def test_adamw_step_and_clip_match_per_parameter_algorithm_bit_for_bit(dtype, no_grad, max_norm):
-    """The public functions over plain dicts, m and v included, through a restore from a snapshot.
+    """The public functions over `gradient_runs`, m and v included, through a restore from a snapshot.
 
     Before step 4 the parameters are rebound to copies of their values
     after step 1, as the divergence restore does. No array a parameter
@@ -233,14 +282,17 @@ def test_adamw_step_and_clip_match_per_parameter_algorithm_bit_for_bit(dtype, no
         held = {n: p.data for n, p in params.items()}
         kept = {n: x.copy() for n, x in held.items()}
         _oracle_step(values, moments, grads, max_norm, i + 1, _lr_at(i))
-        grads = {n: g.copy() for n, g in grads.items()}
-        if max_norm is not None:
-            clip_global_norm(grads, max_norm)
-        adamw_step(params, grads, state, cfg, i + 1, _lr_at(i))
         for n, p in params.items():
+            p.grad = grads.get(n)
+        runs = gradient_runs(params)
+        if max_norm is not None:
+            clip_global_norm(params, runs, max_norm)
+        adamw_step(params, runs, state, cfg, i + 1, _lr_at(i))
+        for n, p in params.items():
+            m, v = _moments(state, n)
             assert _same_bits(held[n], kept[n]), (i, n)
             assert _same_bits(p.data, values[n]), (i, n)
-            assert _same_bits(state[n]["m"], moments[n][0]) and _same_bits(state[n]["v"], moments[n][1]), (i, n)
+            assert _same_bits(m.reshape(p.data.shape), moments[n][0]) and _same_bits(v.reshape(p.data.shape), moments[n][1]), (i, n)
         if i == 0:
             snapshot = {n: p.data.copy() for n, p in params.items()}
 
