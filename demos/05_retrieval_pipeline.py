@@ -32,7 +32,7 @@ print(f"pair corpus: {len(train_pairs)} train / {len(eval_pairs)} eval, e.g. {tr
 N_CTX = 20
 gen_cfg = ModelConfig("masked_mixer", d_model=64, n_layers=2, n_ctx=N_CTX, vocab=259, padding_side="left")
 gen = build_model(gen_cfg, seed=0)
-lm_corpus = (pair_line_chunks(train_pairs, N_CTX, side="left"), pair_line_chunks(eval_pairs[:32], N_CTX, side="left"))
+lm_corpus = (pair_line_chunks(train_pairs, N_CTX), pair_line_chunks(eval_pairs[:32], N_CTX))
 rep = train(gen, lm_corpus, TrainConfig(objective="clm", steps=800, batch_size=16, lr=2e-3, eval_every=800, seed=0))
 print(f"\nleft-padded CLM pretraining: eval loss -> {rep.final_eval_loss():.3f}")
 

@@ -18,7 +18,7 @@ from .tensor import (
     pinv,
 )
 from .data import Tokenizer, TokenSequence, build_corpus, chunk_and_pad
-from .models import CausalMask, Model, ModelConfig, build_model, forward, generate, sequence_embedding
+from .models import Model, ModelConfig, build_model, forward, generate, sequence_embedding
 from .inversion import InversionConfig, InversionReport, calibrate_epsilon, decode_embedding, invert_input, normalized_hamming
 from .training import TrainConfig, TrainReport, train
 from .retrieval import EmbeddingStore, InfoNCEConfig, RetrievalBatch, embed_corpus, eval_topk_accuracy, infonce_loss, retrieve_topk, sample_retrieval_batch, train_indirect, train_infonce
@@ -39,7 +39,6 @@ __all__ = [
     "TokenSequence",
     "build_corpus",
     "chunk_and_pad",
-    "CausalMask",
     "Model",
     "ModelConfig",
     "build_model",

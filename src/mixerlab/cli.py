@@ -208,7 +208,7 @@ def _run_training(args):
 
 def _load_pair_sequences(path, n_ctx):
     """(queries, targets) of a pair file, left-padded to n_ctx."""
-    return pairs_to_sequences(load_pairs(path), n_ctx, side="left")
+    return pairs_to_sequences(load_pairs(path), n_ctx)
 
 
 def _run_embed(args):

@@ -195,21 +195,21 @@ def load_pairs(path):
     return pairs
 
 
-def pair_line_chunks(pairs, n_ctx, side="left"):
-    """One pretraining chunk per pair: the line "query target", padded.
+def pair_line_chunks(pairs, n_ctx):
+    """One pretraining chunk per pair: the line "query target", padded on the left.
 
     Keeping each pair on its own chunk preserves the query-to-target copy
     structure that chunked concatenation would straddle.
     """
     tok = Tokenizer()
-    seqs = [TokenSequence(_pad(tok.tokenize(f"{q} {t}"), n_ctx, side), pad_side=side) for q, t in pairs]
-    return ChunkStore(seqs, pad_side=side)
+    seqs = [TokenSequence(_pad(tok.tokenize(f"{q} {t}"), n_ctx, "left"), pad_side="left") for q, t in pairs]
+    return ChunkStore(seqs, pad_side="left")
 
 
-def pairs_to_sequences(pairs, n_ctx, side="left"):
-    """Tokenize and pad each side of the pairs to fixed-length sequences."""
+def pairs_to_sequences(pairs, n_ctx):
+    """Tokenize each side of the pairs and pad it on the left to a fixed-length sequence."""
     tok = Tokenizer()
-    queries = [_pad(tok.tokenize(q), n_ctx, side) for q, _ in pairs]
-    targets = [_pad(tok.tokenize(t), n_ctx, side) for _, t in pairs]
+    queries = [_pad(tok.tokenize(q), n_ctx, "left") for q, _ in pairs]
+    targets = [_pad(tok.tokenize(t), n_ctx, "left") for _, t in pairs]
     return queries, targets
 

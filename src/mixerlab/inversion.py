@@ -21,13 +21,13 @@ from .training import _check_positive, _check_rate
 
 INIT_MEAN = 0.5  # the first iterate is INIT_MEAN + N(0, INIT_STD^2) in every coordinate
 INIT_STD = 1.0 / 20.0
+CALIB_NOISE_STD = 1.0 / 20.0  # the calibration's noise on the true embedding, N(0, CALIB_NOISE_STD^2)
 
 
 @dataclass(frozen=True)
 class InversionConfig:
     n_iters: int = 500
     eta: float = 0.1  # tuned once on the untrained flat mixer, then frozen
-    calib_noise_std: float = 1.0 / 20.0
     target_layer: int = -2  # last block output; -1 selects the post-norm state
     last_token_only: bool = False
     seed: int = 0
@@ -35,8 +35,6 @@ class InversionConfig:
     def __post_init__(self):
         _check_positive(self, "n_iters")
         _check_rate("eta", self.eta)
-        if not (np.isfinite(self.calib_noise_std) and self.calib_noise_std >= 0):
-            raise ValueError(f"calib_noise_std must be finite and >= 0, got {self.calib_noise_std}")
 
     def eta_at(self, n):
         """Linear schedule from eta down to eta/10 across the run."""
@@ -145,7 +143,7 @@ def calibrate_epsilon(model, tokens, cfg):
 def _calibrate(model, ids, cfg, e_true, base, w_pinv):
     """calibrate_epsilon given the true embedding, its activations and the embedding matrix's pseudoinverse."""
     rng = np.random.default_rng(cfg.seed + 1)
-    noise = rng.normal(0.0, cfg.calib_noise_std, size=e_true.shape).astype(model.dtype)
+    noise = rng.normal(0.0, CALIB_NOISE_STD, size=e_true.shape).astype(model.dtype)
     with T.no_grad():
         _, shifted = _activations(model, e_true + noise, ids, cfg)
     epsilon = float(np.abs(shifted.data - base.data).sum())

@@ -33,33 +33,21 @@ FAMILIES = {
 FF_MULT = 4  # channel-mixing hidden width multiplier
 
 
-@dataclass(frozen=True)
-class CausalMask:
-    """Direction of information flow for token mixing.
-
-    forward keeps source positions j <= i, reverse keeps j >= i, and none
-    keeps everything (used by the retrieval mixer).
-    """
-
-    direction: str
-
-    def __post_init__(self):
-        if self.direction not in ("forward", "reverse", "none"):
-            raise ValueError(f"unknown mask direction {self.direction!r}")
-
-    def pattern(self, out_n, in_n):
-        """The (out_n, in_n) 0/1 float64 mask: built once per shape and direction, and read-only."""
-        return _mask_pattern(self.direction, out_n, in_n)
-
-
 @functools.lru_cache(maxsize=None)
 def _mask_pattern(direction, out_n, in_n):
+    """The (out_n, in_n) 0/1 float64 token-mixing mask: built once per shape and direction, and read-only.
+
+    "forward" keeps source positions j <= i, "reverse" keeps j >= i, and
+    "none" keeps everything (used by the retrieval mixer).
+    """
     if direction == "forward":
         mask = np.tril(np.ones((out_n, in_n)))
     elif direction == "reverse":
         mask = np.triu(np.ones((out_n, in_n)))
-    else:
+    elif direction == "none":
         mask = np.ones((out_n, in_n))
+    else:
+        raise ValueError(f"unknown mask direction {direction!r}")
     mask.flags.writeable = False
     return mask
 
@@ -240,19 +228,18 @@ def _as_ids(tokens, cfg):
 
 def _token_mix(params, prefix, h, cfg, mask_dir):
     """Token mixing of the mixer variants that stay a chain of nodes: several heads, or expansion 2."""
-    mask = CausalMask(mask_dir)
     s = cfg.n_ctx
     if cfg.n_heads > 1:
         d_head = cfg.d_model // cfg.n_heads
         proj = T.matmul(h, params[prefix + "mix.w_in"])
         heads = []
-        sq = mask.pattern(s, s)
+        sq = _mask_pattern(mask_dir, s, s)
         for j in range(cfg.n_heads):
             xh = T.narrow(proj, -1, j * d_head, d_head)
             heads.append(_one_conv(params, f"{prefix}mix.conv{j}.", xh, cfg, sq))
         return T.matmul(T.concat(heads, axis=-1), params[prefix + "mix.w_out"])
-    up = _one_conv(params, prefix + "mix.conv1.", h, cfg, mask.pattern(2 * s, s))
-    return _one_conv(params, prefix + "mix.conv2.", T.gelu(up), cfg, mask.pattern(s, 2 * s))
+    up = _one_conv(params, prefix + "mix.conv1.", h, cfg, _mask_pattern(mask_dir, 2 * s, s))
+    return _one_conv(params, prefix + "mix.conv2.", T.gelu(up), cfg, _mask_pattern(mask_dir, s, 2 * s))
 
 
 def _conv_weight(params, prefix, cfg, mask):
@@ -281,7 +268,7 @@ def _allowed_attention(cfg, mask_dir, ids):
 
     (n_ctx, n_ctx) without ids, one such mask per sequence with them.
     """
-    base = CausalMask(mask_dir).pattern(cfg.n_ctx, cfg.n_ctx)
+    base = _mask_pattern(mask_dir, cfg.n_ctx, cfg.n_ctx)
     if ids is not None:
         keep_key = (np.asarray(ids) != PAD_ID).astype(float)
         base = base * np.maximum(keep_key[..., None, :], np.eye(cfg.n_ctx))
@@ -324,7 +311,7 @@ def _run_stack(model, prefix, e, mask_dir, ids=None, layer=-1, rows=None):
         elif cfg.n_heads > 1 or cfg.expansion == 2:
             x = T.add(x, _token_mix(params, p, T.layer_norm(x, *ln1), cfg, mask_dir))
         else:
-            mask = CausalMask(mask_dir).pattern(cfg.n_ctx, cfg.n_ctx)
+            mask = _mask_pattern(mask_dir, cfg.n_ctx, cfg.n_ctx)
             x = T.conv_sublayer(x, *ln1, _conv_weight(params, p + "mix.conv.", cfg, mask), mask)
         ff = [params[p + n] for n in ("ln2.gain", "ln2.bias", "ff.w1", "ff.b1", "ff.w2", "ff.b2")]
         if rows is not None and i == cfg.n_layers - 1:

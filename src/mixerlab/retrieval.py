@@ -203,8 +203,12 @@ def _others(size, n, count, rng):
 
     A uniform draw of distinct indices from range(size - 1), with those at
     or above n shifted up by one, maps one-to-one onto the draws from
-    range(size) without n, so it stays exactly uniform.
+    range(size) without n, so it stays exactly uniform. An n outside
+    range(size) raises ValueError before any draw, since the shift would
+    not skip it.
     """
+    if not 0 <= n < size:
+        raise ValueError(f"pair index n must lie in [0, {size}), got {n}")
     r = rng.choice(size - 1, count, replace=False)
     r[r >= n] += 1
     return r
@@ -217,6 +221,8 @@ def sample_retrieval_batch(store, n, c, rng):
     the match; the match lands at a uniform random slot in [1, c-1].
     """
     size = len(store)
+    if c < 2:
+        raise ValueError(f"candidate count c must be >= 2 (the query and its match), got {c}")
     if c - 1 > size - 1:
         raise ValueError(f"candidate count {c} needs at least {c} stored pairs, have {size}")
     r = _others(size, n, c - 1, rng)
@@ -275,15 +281,12 @@ def train_indirect(model, store, eval_store, steps=200, batch_size=16, lr=1e-4, 
 def infonce_loss(q_emb, pos_emb, neg_embs, tau=0.02):
     """Contrastive loss -log f+/(f+ + sum fi) with f = exp(cos/tau).
 
-    q_emb and pos_emb are (d,) rows and neg_embs a list of (d,) rows, or
-    one tensor of shape (N, d). With a leading batch axis, (B, d), (B, d)
-    and (B, N, d), the result is the mean loss over the batch. The loss is
-    the softmax cross-entropy of the positive among the 1 + N cosine
-    logits, which `cross_entropy` evaluates in log space: at tau = 0.02
-    the raw exponentials overflow.
+    q_emb and pos_emb are (d,) rows and neg_embs an (N, d) tensor. With a
+    leading batch axis, (B, d), (B, d) and (B, N, d), the result is the
+    mean loss over the batch. The loss is the softmax cross-entropy of the
+    positive among the 1 + N cosine logits, which `cross_entropy`
+    evaluates in log space: at tau = 0.02 the raw exponentials overflow.
     """
-    if isinstance(neg_embs, (list, tuple)):
-        neg_embs = T.concat([T.reshape(n, n.data.shape[:-1] + (1, n.data.shape[-1])) for n in neg_embs], axis=-2)
     d = q_emb.data.shape[-1]
     query = T.reshape(q_emb, q_emb.data.shape[:-1] + (1, d))
     cands = T.concat([T.reshape(pos_emb, pos_emb.data.shape[:-1] + (1, d)), neg_embs], axis=-2)
@@ -379,8 +382,11 @@ def retrieve_topk(query_emb, target_matrix, k):
 
     Batched form: normalize every row to unit length, then reduce the
     products in one vectorized pass. The reduction order per row matches a
-    plain per-pair cosine loop, so the two agree bit-for-bit.
+    plain per-pair cosine loop, so the two agree bit-for-bit. A negative k
+    raises ValueError: as a slice bound it would drop the last |k| rows.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     q, y = _unit64(query_emb), _unit64(target_matrix)
     z = _cosines(y, q)
     order = np.lexsort((np.arange(len(z)), -z))

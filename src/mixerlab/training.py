@@ -33,6 +33,7 @@ DEFAULT_LR = {"mixer": 5e-4, "transformer": 2e-4}
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
 
 
 def _check_positive(cfg, *names):
@@ -55,7 +56,6 @@ class TrainConfig:
     batch_size: int = 8
     steps: int = 100
     lr: float = None  # DEFAULT_LR of the model's block when None
-    weight_decay: float = 0.01
     seed: int = 0
     eval_every: int = 50
     multi_m: int = 1
@@ -72,8 +72,6 @@ class TrainConfig:
             raise ValueError(f"grad_clip must be > 0 (None disables clipping), got {self.grad_clip}")
         if self.lr is not None:
             _check_rate("lr", self.lr)
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
     def lr_at(self, step_index, lr0):
         return lr0 * (1.0 - step_index / self.steps)
@@ -172,7 +170,7 @@ def _flat_values(params, names, state):
     return np.concatenate([params[n].data for n in names], axis=None)
 
 
-def adamw_step(params, runs, state, cfg, step, lr_t):
+def adamw_step(params, runs, state, step, lr_t):
     """Decoupled-weight-decay Adam update; `step` is 1-based for bias correction.
 
     The update runs once per entry of `runs` (see `gradient_runs`), over
@@ -198,7 +196,7 @@ def adamw_step(params, runs, state, cfg, step, lr_t):
         u += ADAM_EPS
         np.divide(m, 1.0 - b1**step, out=t)  # m_hat
         t /= u
-        np.multiply(x, cfg.weight_decay, out=u)
+        np.multiply(x, WEIGHT_DECAY, out=u)
         t += u
         t *= lr_t
         np.subtract(x, t, out=t)  # t now holds the new values
@@ -384,7 +382,7 @@ def _run_steps(model, cfg, lr_at, step_loss, eval_loss, tokens_per_step, first_l
         runs = gradient_runs(model.params)
         if cfg.grad_clip is not None:
             clip_global_norm(model.params, runs, cfg.grad_clip)
-        adamw_step(model.params, runs, state, cfg, step + 1, lr_at(step))
+        adamw_step(model.params, runs, state, step + 1, lr_at(step))
         for p in model.params.values():
             p.grad = None
         since_eval.append(loss_val)

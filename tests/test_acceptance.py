@@ -248,9 +248,9 @@ def test_criterion_4_pseudoinverse():
 def test_criterion_5_infonce_identities():
     d = 8
     ones = Tensor(np.ones(d))
-    uniform = infonce_loss(ones, Tensor(np.ones(d)), [Tensor(np.ones(d)) for _ in range(31)], tau=0.02)
+    uniform = infonce_loss(ones, Tensor(np.ones(d)), Tensor(np.ones((31, d))), tau=0.02)
     assert abs(uniform.item() - np.log(32.0)) <= 1e-9
-    separated = infonce_loss(ones, Tensor(np.ones(d)), [Tensor(-np.ones(d)) for _ in range(31)], tau=0.02)
+    separated = infonce_loss(ones, Tensor(np.ones(d)), Tensor(-np.ones((31, d))), tau=0.02)
     assert 0.0 <= separated.item() < 1e-40
     report(5, f"uniform loss = ln 32 ± {abs(uniform.item() - np.log(32)):.1e}; separation limit {separated.item():.1e} < 1e-40")
 

@@ -9,10 +9,12 @@ tests/, demos/ or bench/ loads it as an attribute (`x.field`); a field
 that is only ever assigned is dead output. A defaulted parameter of a
 public function or method counts as set when some call of that name in
 those four trees passes it, by keyword or by position; one nothing passes
-is a setting no caller chooses, better kept as a module constant. A
-module-level import counts as used when the name it binds appears as a
-name in the same file; the package's `__init__.py` is exempt, since its
-imports are re-exports. Every flag of a CLI subcommand is read by the
+is a setting no caller chooses, better kept as a module constant. Every
+field of a `*Config` class is set by some call under src/ or bench/, by
+keyword or by position: one only tests or demos set is no choice the lab
+itself makes. A module-level import counts as used when the name it binds
+appears as a name in the same file; the package's `__init__.py` is
+exempt, since its imports are re-exports. Every flag of a CLI subcommand is read by the
 handler that runs it. The count of settable values (fields of `*Config`
 classes, defaulted parameters of public functions and methods, flags of
 every subcommand) is pinned, so a new knob has to retire an old one or
@@ -129,14 +131,19 @@ def _passes(call, name, index):
     return index is not None and len(call.args) > index
 
 
-def test_every_defaulted_parameter_of_a_public_function_is_passed():
-    paths = [path for d in ("src", "tests", "demos", "bench") for path in sorted((ROOT / d).rglob("*.py"))]
+def _calls_by_name(dirs):
+    """Every call in the Python files under `dirs`, keyed by the name or attribute it calls."""
     calls = defaultdict(list)
-    for path in paths:
+    for path in [path for d in dirs for path in sorted((ROOT / d).rglob("*.py"))]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 callee = node.func
                 calls[callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)].append(node)
+    return calls
+
+
+def test_every_defaulted_parameter_of_a_public_function_is_passed():
+    calls = _calls_by_name(("src", "tests", "demos", "bench"))
     unpassed = []
     for path in sorted(PACKAGE.glob("*.py")):
         for fn, skip in _public_functions(ast.parse(path.read_text(encoding="utf-8"))):
@@ -190,18 +197,40 @@ def test_every_flag_of_a_subcommand_is_read_by_its_handler():
     assert not unread, "flags no handler reads: " + ", ".join(unread)
 
 
-# 33 config fields + 35 defaulted parameters + 164 subcommand flags
-SETTABLE_VALUES = 232
+def _config_fields():
+    """(class name, [field names in declaration order]) of every `*Config` class in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Config"):
+                yield node.name, [stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+
+
+def test_every_config_field_is_set_outside_tests():
+    """A field that only tests or demos set is a choice no run of the lab makes: a constant, not a setting.
+
+    A field counts as set when some call of its class under src/ or bench/
+    passes it by keyword or by position. A `**` argument counts for no
+    field, since its keys are not in the call.
+    """
+    calls = _calls_by_name(("src", "bench"))
+    unset = [
+        f"{cls}.{name}"
+        for cls, fields in _config_fields()
+        for index, name in enumerate(fields)
+        if not any(any(k.arg == name for k in call.keywords) or len(call.args) > index for call in calls[cls])
+    ]
+    assert not unset, "config fields no call under src/ or bench/ sets: " + ", ".join(unset)
+
+
+# 31 config fields + 33 defaulted parameters + 164 subcommand flags
+SETTABLE_VALUES = 228
 
 
 def test_settable_values_do_not_grow():
-    fields = params = 0
+    fields = sum(len(names) for _, names in _config_fields())
+    params = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef) and node.name.endswith("Config"):
-                fields += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
-        for fn, _ in _public_functions(tree):
+        for fn, _ in _public_functions(ast.parse(path.read_text(encoding="utf-8"))):
             params += len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
     _, parsers = cli.build_parser()
     flags = sum(

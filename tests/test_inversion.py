@@ -115,23 +115,22 @@ def test_decode_encode_identity_full_column_rank():
 # ---------------------------------------------------------------------------
 # epsilon calibration
 
-def test_epsilon_zero_noise_degenerate():
+def test_epsilon_zero_noise_degenerate(monkeypatch):
+    monkeypatch.setattr(inversion, "CALIB_NOISE_STD", 0.0)
     model = small_mixer()
     ids = np.arange(12) % 200
-    calib = calibrate_epsilon(model, ids, InversionConfig(calib_noise_std=0.0))
+    calib = calibrate_epsilon(model, ids, InversionConfig())
     assert calib.epsilon == 0.0
     assert calib.decode_stable
 
 
-def test_epsilon_monotone_in_noise_std():
+def test_epsilon_monotone_in_noise_std(monkeypatch):
     model = small_mixer(seed=4)
     ids = np.arange(12) % 200
     means = []
     for std in (0.01, 0.05, 0.1):
-        vals = [
-            calibrate_epsilon(model, ids, InversionConfig(calib_noise_std=std, seed=s)).epsilon
-            for s in range(20)
-        ]
+        monkeypatch.setattr(inversion, "CALIB_NOISE_STD", std)
+        vals = [calibrate_epsilon(model, ids, InversionConfig(seed=s)).epsilon for s in range(20)]
         means.append(np.mean(vals))
     assert means[0] < means[1] < means[2]
 
@@ -167,9 +166,6 @@ def test_schedule_endpoints():
         (dict(eta=-0.1), "eta must be finite and > 0, got -0.1"),
         (dict(eta=float("nan")), "eta must be finite and > 0, got nan"),
         (dict(eta=float("inf")), "eta must be finite and > 0, got inf"),
-        (dict(calib_noise_std=-0.05), "calib_noise_std must be finite and >= 0, got -0.05"),
-        (dict(calib_noise_std=float("nan")), "calib_noise_std must be finite and >= 0, got nan"),
-        (dict(calib_noise_std=float("inf")), "calib_noise_std must be finite and >= 0, got inf"),
     ],
 )
 def test_config_rejects_a_rate_or_count_it_cannot_run_naming_the_field(kw, message):

@@ -6,7 +6,6 @@ import pytest
 from mixerlab import tensor as T
 from mixerlab.data import PAD_ID
 from mixerlab.models import (
-    CausalMask,
     ModelConfig,
     autoencoder_forward,
     bidirectional_forward,
@@ -19,6 +18,7 @@ from mixerlab.models import (
     intertoken_param_count,
     retrieval_mixer_forward,
     sequence_embedding,
+    _mask_pattern,
 )
 from mixerlab.tensor import CHECK64, Tensor, backward
 
@@ -76,8 +76,10 @@ def test_transformer_exactly_causal():
 
 
 def test_reverse_mask_is_transpose_and_none_is_ones():
-    assert np.array_equal(CausalMask("reverse").pattern(5, 5), CausalMask("forward").pattern(5, 5).T)
-    assert np.all(CausalMask("none").pattern(4, 4) == 1.0)
+    assert np.array_equal(_mask_pattern("reverse", 5, 5), _mask_pattern("forward", 5, 5).T)
+    assert np.all(_mask_pattern("none", 4, 4) == 1.0)
+    with pytest.raises(ValueError, match="unknown mask direction 'backward'"):
+        _mask_pattern("backward", 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,7 @@ def test_softmax_weight_rows_normalized():
     cfg = tiny(softmax_weights=True, kernel_k=2)
     model = build_model(cfg, seed=12, dtype=CHECK64)
     w = model.params["blocks.0.mix.conv.w"]
-    mask = CausalMask("forward").pattern(cfg.n_ctx, cfg.n_ctx)
+    mask = _mask_pattern("forward", cfg.n_ctx, cfg.n_ctx)
     eff = T.softmax_conv_weights(w, mask).data
     assert np.all(eff >= 0)
     assert np.all(eff[mask == 0] == 0)

@@ -19,6 +19,7 @@ from mixerlab.retrieval import (
     pca_project,
     retrieve_topk,
     sample_retrieval_batch,
+    sample_sequence_batch,
     _others,
     train_indirect,
     train_infonce,
@@ -207,6 +208,30 @@ def test_others_rejects_more_than_size_minus_one():
         _others(9, 3, 9, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n", [-1, 9, 10])
+def test_others_rejects_an_index_outside_range_size_before_drawing(n):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"pair index n must lie in \[0, 9\), got {n}$"):
+        _others(9, n, 4, rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("n", [-1, 8])
+def test_sample_batch_and_sequence_batch_reject_a_pair_index_outside_the_store(n):
+    """With n = -1 every draw used to shift up, so pair n's own target could land among the negatives."""
+    with pytest.raises(ValueError, match=f"got {n}$"):
+        sample_retrieval_batch(toy_store(n=8), n, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"got {n}$"):
+        sample_sequence_batch(np.arange(8 * 4).reshape(8, 4), n, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("c", [1, 0])
+def test_sample_batch_rejects_fewer_than_two_candidates(c):
+    with pytest.raises(ValueError, match=f"candidate count c must be >= 2 .*, got {c}$"):
+        sample_retrieval_batch(toy_store(n=8), 0, c, np.random.default_rng(0))
+
+
 def test_others_uniform_over_indices_and_subsets_chi_square():
     size, n, count = 7, 3, 2
     rng = np.random.default_rng(41)
@@ -241,7 +266,7 @@ def test_infonce_uniform_similarity_ln32():
     d = 6
     q = Tensor(np.ones(d))
     pos = Tensor(np.ones(d))
-    negs = [Tensor(np.ones(d)) for _ in range(31)]
+    negs = Tensor(np.ones((31, d)))
     loss = infonce_loss(q, pos, negs, tau=0.02)
     assert abs(loss.item() - np.log(32.0)) <= 1e-9
 
@@ -250,7 +275,7 @@ def test_infonce_separation_limit():
     d = 4
     q = Tensor(np.ones(d))
     pos = Tensor(np.ones(d))
-    negs = [Tensor(-np.ones(d)) for _ in range(31)]
+    negs = Tensor(-np.ones((31, d)))
     loss = infonce_loss(q, pos, negs, tau=0.02)
     assert 0.0 <= loss.item() < 1e-40
 
@@ -267,20 +292,20 @@ def test_infonce_matches_naive_formula_at_tau_one():
     f_pos = np.exp(cos(q, pos))
     denom = f_pos + sum(np.exp(cos(q, n)) for n in negs)
     naive = -np.log(f_pos / denom)
-    ours = infonce_loss(Tensor(q), Tensor(pos), [Tensor(n) for n in negs], tau=1.0).item()
+    ours = infonce_loss(Tensor(q), Tensor(pos), Tensor(np.stack(negs)), tau=1.0).item()
     assert abs(ours - naive) <= 1e-10
 
 
 def test_infonce_non_negative_and_decreasing_in_positive_similarity():
     rng = np.random.default_rng(13)
     q = rng.normal(size=6)
-    negs = [Tensor(rng.normal(size=6)) for _ in range(5)]
+    negs = Tensor(np.stack([rng.normal(size=6) for _ in range(5)]))
     prev = None
     for alpha in (0.0, 0.5, 1.0, 2.0):
         pos = Tensor(q * (1 + alpha) + rng.normal(size=6) * (1 - min(alpha, 1)) * 0.5)
         val = infonce_loss(Tensor(q), pos, negs, tau=0.5).item()
         assert val >= 0.0
-    base_neg = [Tensor(n.data.copy()) for n in negs]
+    base_neg = Tensor(negs.data.copy())
     lo = infonce_loss(Tensor(q), Tensor(q * 0.999), base_neg, tau=0.5).item()
     hi = infonce_loss(Tensor(q), Tensor(-q), base_neg, tau=0.5).item()
     assert lo < hi
@@ -288,8 +313,6 @@ def test_infonce_non_negative_and_decreasing_in_positive_similarity():
 
 def logsumexp_infonce(q, pos, negs, tau):
     """The loss as the hand-built log-sum-exp over cosine logits that `cross_entropy` replaced."""
-    if isinstance(negs, list):
-        negs = T.concat([T.reshape(n, n.data.shape[:-1] + (1, n.data.shape[-1])) for n in negs], axis=-2)
     d = q.data.shape[-1]
     query = T.reshape(q, q.data.shape[:-1] + (1, d))
     cands = T.concat([T.reshape(pos, pos.data.shape[:-1] + (1, d)), negs], axis=-2)
@@ -304,12 +327,12 @@ def logsumexp_infonce(q, pos, negs, tau):
 
 
 @pytest.mark.parametrize("tau", [0.02, 0.5])
-@pytest.mark.parametrize("form", ["list", "batched"])
+@pytest.mark.parametrize("form", ["single", "batched"])
 def test_infonce_matches_logsumexp_form_in_float64(form, tau):
     rng = np.random.default_rng(15)
-    if form == "list":
+    if form == "single":
         q, pos = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
-        negs = [Tensor(rng.normal(size=6)) for _ in range(5)]
+        negs = Tensor(np.stack([rng.normal(size=6) for _ in range(5)]))
     else:
         q, pos, negs = Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(3, 5, 6)))
     ours = infonce_loss(q, pos, negs, tau).item()
@@ -333,13 +356,14 @@ def test_infonce_batched_loss_is_16_graph_nodes():
 
 def test_infonce_zero_norm_rejected():
     with pytest.raises(ValueError, match="zero-norm"):
-        infonce_loss(Tensor(np.zeros(4)), Tensor(np.ones(4)), [Tensor(np.ones(4))])
+        infonce_loss(Tensor(np.zeros(4)), Tensor(np.ones(4)), Tensor(np.ones((1, 4))))
 
 
 def test_infonce_gradient_flows_to_query():
     rng = np.random.default_rng(14)
     q = Tensor(rng.normal(size=6), requires_grad=True)
-    loss = infonce_loss(q, Tensor(rng.normal(size=6)), [Tensor(rng.normal(size=6)) for _ in range(3)], tau=0.1)
+    pos, negs = Tensor(rng.normal(size=6)), Tensor(np.stack([rng.normal(size=6) for _ in range(3)]))
+    loss = infonce_loss(q, pos, negs, tau=0.1)
     backward(loss)
     assert q.grad is not None and np.any(q.grad != 0)
 
@@ -454,6 +478,12 @@ def test_topk_permutation_and_scaling_invariance():
     assert [perm[i] for i in permuted] == base
     scaled, _ = retrieve_topk(x, y * rng.uniform(0.1, 5.0, size=(10, 1)), 10)
     assert scaled == base
+
+
+def test_topk_rejects_a_negative_k():
+    rng = np.random.default_rng(19)
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        retrieve_topk(rng.normal(size=4), rng.normal(size=(10, 4)), -1)
 
 
 def test_topk_zero_vector_rejected():
