@@ -282,13 +282,16 @@ def _run_stack(model, prefix, e, mask_dir, ids=None, layer=-1, rows=None):
     entry is the stack's last hidden layer. The list ends at entry `layer`
     of the full list: the blocks after it and the final norm are not run.
 
-    With `rows` (the `_row_index` of one position per sequence of a causal
-    stack over a (batch, n_ctx) id array), each sequence keeps only that
-    row once the last block has mixed tokens; the rest of that block and
-    the final norm act on each row alone, so they run on (..., 1, d), and
-    so do the entries of the last block and of the final norm. The blocks
-    before it run their feed-forward only on the rows `_shared_pad_rows`
-    keeps.
+    With `rows`, each sequence of a causal stack keeps only those rows once
+    the last block has mixed tokens; the rest of that block and the final
+    norm act on each row alone, so they run on the kept rows only, and so
+    do the entries of the last block and of the final norm. `rows` is
+    either a slice of positions, the same in every sequence (the positions
+    a causal loss scores), or the `_row_index` of one position per sequence
+    of a (batch, n_ctx) id array (an embedding row, (..., 1, d)). With a
+    `_row_index` the blocks before the last run their feed-forward only on
+    the rows `_shared_pad_rows` keeps; a loss does not share pad rows,
+    since that would sum their gradients in another order.
     """
     cfg = model.config
     params = model.params
@@ -299,7 +302,14 @@ def _run_stack(model, prefix, e, mask_dir, ids=None, layer=-1, rows=None):
     mixer = cfg.block == "mixer"
     rope = None if mixer else _rope_cache(cfg.n_ctx, cfg.d_model // cfg.n_heads, e.dtype)
     allowed = None if mixer else _allowed_attention(cfg, mask_dir, ids)
-    shared = None if rows is None else _shared_pad_rows(ids)
+    shared = None
+    if isinstance(rows, slice):
+        def select(h):
+            return T.narrow(h, -2, rows.start, rows.stop - rows.start)
+    elif rows is not None:
+        def select(h):
+            return T.take_rows(h, rows)
+        shared = _shared_pad_rows(ids)
     hiddens = [e]
     x = e
     for i in range(min(last, cfg.n_layers)):
@@ -315,7 +325,7 @@ def _run_stack(model, prefix, e, mask_dir, ids=None, layer=-1, rows=None):
             x = T.conv_sublayer(x, *ln1, _conv_weight(params, p + "mix.conv.", cfg, mask), mask)
         ff = [params[p + n] for n in ("ln2.gain", "ln2.bias", "ff.w1", "ff.b1", "ff.w2", "ff.b2")]
         if rows is not None and i == cfg.n_layers - 1:
-            x = T.feed_forward(T.take_rows(x, rows), *ff)
+            x = T.feed_forward(select(x), *ff)
         elif shared is not None:
             live, expand = shared
             x = T.take_rows(T.feed_forward(T.take_rows(x, live), *ff), expand)
@@ -323,7 +333,7 @@ def _run_stack(model, prefix, e, mask_dir, ids=None, layer=-1, rows=None):
             x = T.feed_forward(x, *ff)
         hiddens.append(x)
     if rows is not None and cfg.n_layers == 0:
-        x = T.take_rows(x, rows)
+        x = select(x)
     if last == n_states - 1:
         hiddens.append(T.layer_norm(x, params[f"{prefix}ln_f.gain"], params[f"{prefix}ln_f.bias"]))
     return hiddens
@@ -391,6 +401,17 @@ def forward_from_embedding(model, e, ids=None, layer=None):
     hiddens = _run_stack(model, "", e, "forward", ids=ids)
     logits = T.matmul(hiddens[-1], model.params["lm_head"])
     return logits, hiddens
+
+
+def _scored_logits(model, e, ids, rows):
+    """Causal logits of the positions `rows` (a slice) only, (..., rows.stop - rows.start, vocab).
+
+    The last block's feed-forward, the final norm and the head run on
+    those rows alone (see `_run_stack`), with the arithmetic of
+    `forward_from_embedding`. A product over fewer rows can still round
+    differently where BLAS picks another kernel for its size.
+    """
+    return T.matmul(_run_stack(model, "", e, "forward", ids=ids, rows=rows)[-1], model.params["lm_head"])
 
 
 def bidirectional_forward(model, tokens):

@@ -883,7 +883,7 @@ def _conv_grads(g, flat_w, taps, m, needs):
     gx = gw = None
     if needs[0]:
         g_taps = np.matmul(flat_w.T, g).reshape(lead + (k, in_seq, d))
-        gx = g_taps[..., 0, :, :].copy()
+        gx = g_taps[..., 0, :, :] if k == 1 else g_taps[..., 0, :, :].copy()
         for t in range(1, min(k, d)):
             gx[..., :, : d - t] += g_taps[..., t, :, t:]
     if needs[1]:

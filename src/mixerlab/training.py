@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import PAD_ID
-from .models import forward, forward_from_embedding
+from .models import _as_ids, _scored_logits, forward
 from .tensor import Tensor, backward
 
 # The model topology each objective trains (see models.FAMILIES); either
@@ -240,11 +240,13 @@ def _token_loss(logits, targets, reduction="mean"):
 
 
 def many_token_logits(model, ids, prefix_len):
-    """Forward pass with suffix positions fed the learned placeholder vector.
+    """Suffix logits of a forward pass with suffix positions fed the learned placeholder vector.
 
-    `ids` is one sequence (n_ctx,) or a batch (batch, n_ctx). Suffix logits
-    cannot depend on the suffix ground-truth tokens: those token ids never
-    enter the forward pass.
+    `ids` is one sequence (n_ctx,) or a batch (batch, n_ctx). The logits
+    are those of positions prefix_len - 1 to n_ctx - 2, the ones that
+    predict the suffix tokens: (..., n_ctx - prefix_len, vocab). Suffix
+    logits cannot depend on the suffix ground-truth tokens: those token
+    ids never enter the forward pass.
     """
     cfg = model.config
     n = cfg.n_ctx
@@ -255,8 +257,7 @@ def many_token_logits(model, ids, prefix_len):
     ones = Tensor(np.ones(ids.shape[:-1] + (n - prefix_len, 1), dtype=model.dtype))
     prefix_e = T.embedding_lookup(model.params["wte"], ids[..., :prefix_len])
     e = T.concat([prefix_e, T.matmul(ones, placeholder)], axis=-2)
-    logits, _ = forward_from_embedding(model, e, ids=None)
-    return logits
+    return _scored_logits(model, e, None, slice(prefix_len - 1, n - 1))
 
 
 def _nonpad_rows(batch):
@@ -269,17 +270,23 @@ def _loss_terms(model, batch, cfg):
     """(logits, targets) blocks of one batch; the objective's loss sums their mean token losses.
 
     multi_token has one block per shift width, all from one forward pass;
-    every other objective has one block.
+    every other objective has one block. The causal objectives compute
+    logits only for the positions they score: 0 to n_ctx - 2 for clm and
+    multi_token (whose wider shifts use a leading part of them), and
+    prefix_len - 1 to n_ctx - 2 for many_token.
     """
-    n = model.config.n_ctx
     if cfg.objective == "many_token":
-        logits = many_token_logits(model, batch, cfg.prefix_len)
-        return [(T.narrow(logits, -2, cfg.prefix_len - 1, n - cfg.prefix_len), batch[:, cfg.prefix_len:])]
-    logits, _ = forward(model, batch)
+        return [(many_token_logits(model, batch, cfg.prefix_len), batch[:, cfg.prefix_len:])]
     if OBJECTIVES[cfg.objective] != "causal":
-        return [(logits, batch)]
-    shifts = range(1, cfg.multi_m + 1) if cfg.objective == "multi_token" else [1]
-    return [(T.narrow(logits, -2, 0, n - s), batch[:, s:]) for s in shifts]
+        return [(forward(model, batch)[0], batch)]
+    ids = _as_ids(batch, model.config)
+    n = model.config.n_ctx
+    logits = _scored_logits(model, T.embedding_lookup(model.params["wte"], ids), ids, slice(0, n - 1))
+    if cfg.objective == "clm":
+        return [(logits, ids[:, 1:])]
+    # every shift, 1 included, cuts its own block, so the backward adds the
+    # blocks' gradients into the logits from the widest shift down
+    return [(T.narrow(logits, -2, 0, n - s), ids[:, s:]) for s in range(1, cfg.multi_m + 1)]
 
 
 def batch_loss(model, batch, cfg):

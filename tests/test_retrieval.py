@@ -300,11 +300,16 @@ def test_infonce_non_negative_and_decreasing_in_positive_similarity():
     rng = np.random.default_rng(13)
     q = rng.normal(size=6)
     negs = Tensor(np.stack([rng.normal(size=6) for _ in range(5)]))
-    prev = None
-    for alpha in (0.0, 0.5, 1.0, 2.0):
-        pos = Tensor(q * (1 + alpha) + rng.normal(size=6) * (1 - min(alpha, 1)) * 0.5)
+    unit = q / np.linalg.norm(q)
+    side = rng.normal(size=6)
+    side -= (side @ unit) * unit
+    side /= np.linalg.norm(side)
+    prev = np.inf
+    for angle in np.linspace(np.pi, 0.0, 7):  # the positive's cosine to q rises from -1 to 1
+        pos = Tensor(2.0 * (np.cos(angle) * unit + np.sin(angle) * side))
         val = infonce_loss(Tensor(q), pos, negs, tau=0.5).item()
-        assert val >= 0.0
+        assert 0.0 <= val < prev
+        prev = val
     base_neg = Tensor(negs.data.copy())
     lo = infonce_loss(Tensor(q), Tensor(q * 0.999), base_neg, tau=0.5).item()
     hi = infonce_loss(Tensor(q), Tensor(-q), base_neg, tau=0.5).item()

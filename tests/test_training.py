@@ -7,9 +7,9 @@ import pytest
 
 from mixerlab import tensor as T
 from mixerlab import training
-from mixerlab.data import PAD_ID, ChunkStore, build_corpus, chunk_and_pad
-from mixerlab.models import FAMILIES, ModelConfig, build_model
-from mixerlab.tensor import CHECK64, Tensor, backward
+from mixerlab.data import PAD_ID, ChunkStore, TokenSequence, build_corpus, chunk_and_pad
+from mixerlab.models import FAMILIES, ModelConfig, build_model, forward, forward_from_embedding
+from mixerlab.tensor import CHECK64, TRAIN32, Tensor, backward
 from mixerlab.training import (
     ADAM_BETAS,
     ADAM_EPS,
@@ -627,3 +627,96 @@ def test_evaluate_store_without_targets_rejected():
     store = ChunkStore(chunk_and_pad([5], 16))
     with pytest.raises(ValueError, match="empty loss"):
         evaluate(model, store, TrainConfig(objective="clm"))
+
+
+# ---------------------------------------------------------------------------
+# scored rows only
+#
+# The causal losses run the last feed-forward, the final norm and the head
+# on the scored rows only. The reference is the full forward cut down with
+# `narrow`, as the losses computed it before. Each row's arithmetic is the
+# same, and the rows left out carry zero gradient, but OpenBLAS picks its
+# kernel by the size of a product: one of fewer than about 3.1e5
+# multiply-adds runs the small-matrix kernel, and the large float64
+# kernel's sum over rows depends on how many rows it is given, so a
+# product that loses rows can round differently. At the size of the
+# ledger's training runs (d16, n_ctx 8) every product of both paths runs
+# the small-matrix kernel.
+
+SCORED_OBJECTIVES = {"clm": 1, "multi_token-m2": 2, "multi_token-m4": 4, "many_token": 1}  # objective: multi_m
+
+
+def _full_forward_terms(model, batch, cfg):
+    """The causal loss terms cut from the full forward: every position's logits, then `narrow` to the scored ones."""
+    n = model.config.n_ctx
+    if cfg.objective == "many_token":
+        p = cfg.prefix_len
+        ones = Tensor(np.ones((len(batch), n - p, 1), dtype=model.dtype))
+        suffix = T.matmul(ones, model.params["many_token_placeholder"])
+        e = T.concat([T.embedding_lookup(model.params["wte"], batch[:, :p]), suffix], axis=-2)
+        logits, _ = forward_from_embedding(model, e)
+        return [(T.narrow(logits, -2, p - 1, n - p), batch[:, p:])]
+    logits, _ = forward(model, batch)
+    shifts = range(1, cfg.multi_m + 1) if cfg.objective == "multi_token" else [1]
+    return [(T.narrow(logits, -2, 0, n - s), batch[:, s:]) for s in shifts]
+
+
+def _scored_and_full(monkeypatch, objective, family, dtype, n_layers, side, d, n_ctx):
+    """(loss, {name: gradient or None}, evaluate) of one batch_loss over a padded store, pruned and full.
+
+    The store holds sequences of n_ctx down to 1 token and one pad-only sequence.
+    """
+    prefix = n_ctx // 2
+    cfg = TrainConfig(objective=objective.split("-")[0], batch_size=3, multi_m=SCORED_OBJECTIVES[objective], prefix_len=prefix)
+    heads = 1 if family == "masked_mixer" else 2
+    model = build_model(ModelConfig(family, d_model=d, n_layers=n_layers, n_ctx=n_ctx, n_heads=heads), seed=50, dtype=dtype)
+    rng = np.random.default_rng(51)
+    model.params["many_token_placeholder"] = Tensor(rng.normal(0.0, 0.02, size=(1, d)).astype(dtype), requires_grad=True)
+    lengths = (n_ctx, prefix + 1, prefix, n_ctx, 2, prefix - 1, 1)
+    seqs = [chunk_and_pad(rng.integers(0, 256, size=k).tolist(), n_ctx, side)[0] for k in lengths]
+    seqs.insert(2, TokenSequence(np.full(n_ctx, PAD_ID), pad_side=side))
+    store = ChunkStore(seqs, pad_side=side)
+
+    def run():
+        loss = batch_loss(model, store.ids, cfg)
+        backward(loss)
+        grads = {name: p.grad for name, p in model.params.items()}
+        for p in model.params.values():
+            p.grad = None
+        return loss.data, grads, evaluate(model, store, cfg)
+
+    scored = run()
+    monkeypatch.setattr(training, "_loss_terms", _full_forward_terms)
+    return scored, run()
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("n_layers", [0, 2])
+@pytest.mark.parametrize("dtype", [TRAIN32, CHECK64], ids=["float32", "float64"])
+@pytest.mark.parametrize("family", ["masked_mixer", "transformer"])
+@pytest.mark.parametrize("objective", list(SCORED_OBJECTIVES))
+def test_causal_losses_equal_the_full_forward_bit_for_bit(monkeypatch, objective, family, dtype, n_layers, side):
+    """batch_loss, every parameter gradient and evaluate keep the full forward's bits."""
+    scored, full = _scored_and_full(monkeypatch, objective, family, dtype, n_layers, side, d=16, n_ctx=8)
+    assert scored[0].tobytes() == full[0].tobytes()
+    moved = [name for name, g in full[1].items() if (g is None) != (scored[1][name] is None)
+             or g is not None and g.tobytes() != scored[1][name].tobytes()]
+    assert not moved, f"gradients moved: {moved}"
+    assert scored[2] == full[2]
+
+
+@pytest.mark.parametrize("dtype", [TRAIN32, CHECK64], ids=["float32", "float64"])
+@pytest.mark.parametrize("family", ["masked_mixer", "transformer"])
+@pytest.mark.parametrize("objective", list(SCORED_OBJECTIVES))
+def test_causal_losses_equal_the_full_forward_to_rounding_at_d64(monkeypatch, objective, family, dtype):
+    """At d64 and n_ctx 22 the head's float64 weight gradient rounds by row count, so only values are compared."""
+    scored, full = _scored_and_full(monkeypatch, objective, family, dtype, 2, "left", d=64, n_ctx=22)
+    rtol = 1e-5 if dtype == TRAIN32 else 1e-12
+    np.testing.assert_allclose(scored[0], full[0], rtol=rtol)
+    for name, g in full[1].items():
+        if g is None:
+            assert scored[1][name] is None, name
+        else:
+            atol = rtol * np.abs(g).max()
+            np.testing.assert_allclose(scored[1][name], g, rtol=rtol, atol=atol, err_msg=name)
+    assert scored[2] == pytest.approx(full[2], rel=rtol)
