@@ -11,7 +11,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,15 +28,6 @@ _TAG_FOR_DTYPE = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 class CheckpointFormatError(ValueError):
     pass
-
-
-def _write_bytes(fh, b):
-    fh.write(struct.pack("<I", len(b)))
-    fh.write(b)
-
-
-def _write_str(fh, s):
-    _write_bytes(fh, s.encode("utf-8"))
 
 
 class _Reader:
@@ -80,25 +71,29 @@ class _Reader:
         return obj
 
 
+def _sized(text):
+    """`text` in UTF-8 after its uint32 byte length."""
+    raw = text.encode("utf-8")
+    return struct.pack(f"<I{len(raw)}s", len(raw), raw)
+
+
 def write_container(path, config_obj, tensors):
-    """Write named arrays plus a JSON-serializable config to `path`."""
-    blob = json.dumps(config_obj, sort_keys=True).encode("utf-8")
+    """Write named arrays plus a JSON-serializable config to `path` in one call.
+
+    Each tensor's data is written from its own buffer: a C-ordered float32
+    or float64 array, as every array the lab saves is, is not copied.
+    """
+    blob = _sized(json.dumps(config_obj, sort_keys=True))
+    parts = [MAGIC, struct.pack("<I", VERSION), blob, struct.pack("<Q", len(tensors))]
+    for name, arr in tensors.items():
+        arr = np.ascontiguousarray(arr)
+        tag = _TAG_FOR_DTYPE.get(arr.dtype)
+        if tag is None:
+            raise CheckpointFormatError(f"unsupported tensor dtype {arr.dtype} for {name!r}")
+        shape = struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape)
+        parts += [_sized(name), _sized(tag), shape, arr.astype(_DTYPE_TAGS[tag], copy=False)]
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        _write_bytes(fh, blob)
-        fh.write(struct.pack("<Q", len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr)
-            tag = _TAG_FOR_DTYPE.get(arr.dtype)
-            if tag is None:
-                raise CheckpointFormatError(f"unsupported tensor dtype {arr.dtype} for {name!r}")
-            _write_str(fh, name)
-            _write_str(fh, tag)
-            fh.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(arr.astype(_DTYPE_TAGS[tag]).tobytes(order="C"))
+        fh.writelines(parts)
 
 
 def read_container(path):
@@ -189,7 +184,7 @@ def save_checkpoint(model, path):
     """Persist a model; parameters round-trip bit-exactly."""
     write_container(
         path,
-        {"kind": "model", "config": asdict(model.config)},
+        {"kind": "model", "config": {f.name: getattr(model.config, f.name) for f in fields(ModelConfig)}},
         {name: p.data for name, p in model.params.items()},
     )
 

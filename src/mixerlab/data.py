@@ -7,9 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PAD_ID = 256
-BOS_ID = 257
-EOS_ID = 258
-VOCAB_SIZE = 259
+VOCAB_SIZE = 259  # bytes 0..255, PAD_ID, and two reserved ids: 257 (bos) and 258 (eos)
 
 
 class Tokenizer:
@@ -18,11 +16,6 @@ class Tokenizer:
     Round-trips arbitrary UTF-8 text exactly; pad is never produced by
     tokenize and special ids are dropped on detokenize.
     """
-
-    pad_id = PAD_ID
-    bos_id = BOS_ID
-    eos_id = EOS_ID
-    vocab_size = VOCAB_SIZE
 
     def tokenize(self, text):
         return list(text.encode("utf-8"))

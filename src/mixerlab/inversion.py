@@ -167,12 +167,11 @@ def invert_input(model, tokens, cfg, model_id=""):
         e_true = T.embedding_lookup(model.params["wte"], ids).data
         with T.no_grad():
             _, target = _activations(model, e_true, ids, cfg)
-        target = Tensor(target.data.copy())
 
         iterate = (INIT_MEAN + rng.normal(0.0, INIT_STD, size=e_true.shape)).astype(dtype)
         best_dist = np.inf
         best_iter = 0
-        best_e = iterate.copy()
+        best_e = iterate  # every update rebinds `iterate`; nothing writes into it
         distances = []
         for n in range(cfg.n_iters):
             e, acts = _activations(model, iterate, ids, cfg, as_leaf=True)
@@ -180,7 +179,7 @@ def invert_input(model, tokens, cfg, model_id=""):
             dist = float(loss.item())
             distances.append(dist)
             if dist < best_dist:
-                best_dist, best_iter, best_e = dist, n, iterate.copy()
+                best_dist, best_iter, best_e = dist, n, iterate
             backward(loss)
             if e.grad is None or not np.all(np.isfinite(e.grad)):
                 raise FloatingPointError(f"non-finite inversion gradient at iteration {n}")
@@ -191,7 +190,7 @@ def invert_input(model, tokens, cfg, model_id=""):
         final = float(np.abs(acts.data - target.data).sum())
         distances.append(final)
         if final < best_dist:
-            best_dist, best_iter, best_e = final, cfg.n_iters, iterate.copy()
+            best_dist, best_iter, best_e = final, cfg.n_iters, iterate
 
         w_pinv = pinv(model.params["wte"].data)  # one SVD serves the calibration and the decode
         calib = _calibrate(model, ids, cfg, e_true, target, w_pinv)

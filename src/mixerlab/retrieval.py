@@ -210,7 +210,7 @@ def _others(size, n, count, rng):
     if not 0 <= n < size:
         raise ValueError(f"pair index n must lie in [0, {size}), got {n}")
     r = rng.choice(size - 1, count, replace=False)
-    r[r >= n] += 1
+    r += r >= n
     return r
 
 
@@ -257,18 +257,22 @@ def train_indirect(model, store, eval_store, steps=200, batch_size=16, lr=1e-4, 
         raise ValueError(f"{c} candidates per set need at least {c} eval pairs, have {len(eval_store)}")
     rng = np.random.default_rng(seed)
     eval_rng = np.random.default_rng(seed + 1)
-    eval_sets = [sample_retrieval_batch(eval_store, n, c, eval_rng) for n in range(len(eval_store))]
 
-    def set_loss(batches):
-        logits, _ = retrieval_mixer_forward(model, Tensor(np.stack([b.a for b in batches]).astype(model.dtype)))
-        return T.cross_entropy(logits, [b.m for b in batches])
+    def stacked(batches):  # the sets as one model-dtype input, and their match slots
+        return Tensor(np.stack([b.a for b in batches]).astype(model.dtype)), [b.m for b in batches]
+
+    def set_loss(a, m):
+        return T.cross_entropy(retrieval_mixer_forward(model, a)[0], m)
+
+    eval_sets = stacked([sample_retrieval_batch(eval_store, n, c, eval_rng) for n in range(len(eval_store))])
 
     def step_loss():
-        return set_loss([sample_retrieval_batch(store, int(rng.integers(0, len(store))), c, rng) for _ in range(batch_size)])
+        draws = [sample_retrieval_batch(store, int(rng.integers(0, len(store))), c, rng) for _ in range(batch_size)]
+        return set_loss(*stacked(draws))
 
     def eval_ce():
         with T.no_grad():
-            return set_loss(eval_sets).item()
+            return set_loss(*eval_sets).item()
 
     return _run_steps(
         model, run_cfg, lr_at=lambda step: lr, step_loss=step_loss, eval_loss=eval_ce, tokens_per_step=batch_size * c,

@@ -239,6 +239,11 @@ def _token_loss(logits, targets, reduction="mean"):
     return T.cross_entropy(flat, np.asarray(targets).reshape(-1), ignore_id=PAD_ID, reduction=reduction)
 
 
+def _check_prefix_len(prefix_len, n_ctx):
+    if prefix_len is None or not 1 <= prefix_len < n_ctx:
+        raise ValueError(f"prefix_len must lie in [1, n_ctx), got {prefix_len}")
+
+
 def many_token_logits(model, ids, prefix_len):
     """Suffix logits of a forward pass with suffix positions fed the learned placeholder vector.
 
@@ -248,10 +253,8 @@ def many_token_logits(model, ids, prefix_len):
     logits cannot depend on the suffix ground-truth tokens: those token
     ids never enter the forward pass.
     """
-    cfg = model.config
-    n = cfg.n_ctx
-    if prefix_len is None or not 1 <= prefix_len < n:
-        raise ValueError(f"prefix_len must lie in [1, n_ctx), got {prefix_len}")
+    n = model.config.n_ctx
+    _check_prefix_len(prefix_len, n)
     ids = np.asarray(ids)
     placeholder = model.params["many_token_placeholder"]
     ones = Tensor(np.ones(ids.shape[:-1] + (n - prefix_len, 1), dtype=model.dtype))
@@ -358,8 +361,9 @@ def _run_steps(model, cfg, lr_at, step_loss, eval_loss, tokens_per_step, first_l
     to `cfg.grad_clip` (None disables) and applies AdamW. Eval points are
     step 0, every `cfg.eval_every` steps and the last step; each records
     the mean train loss since the previous one and snapshots the
-    parameters. A non-finite loss (caught before backward) or a non-finite
-    parameter at an eval point restores the latest snapshot and raises
+    parameters' arrays, which `adamw_step` rebinds and never writes into.
+    A non-finite loss (caught before backward) or a non-finite parameter
+    at an eval point restores the latest snapshot and raises
     TrainingDiverged, so no snapshot, saved checkpoint or returned model
     holds a non-finite value. When `save_fn` is given it is called as
     save_fn(model, tag) at every eval point.
@@ -371,7 +375,7 @@ def _run_steps(model, cfg, lr_at, step_loss, eval_loss, tokens_per_step, first_l
         report.records.append(EvalRecord(step, float(train_loss), eval_loss(), lr_at(step), step * tokens_per_step))
         if save_fn:
             save_fn(model, f"step{step:06d}")
-        return {name: p.data.copy() for name, p in model.params.items()}
+        return {name: p.data for name, p in model.params.items()}
 
     def diverged(step, cause):
         for name, p in model.params.items():
@@ -415,11 +419,13 @@ def train(model, corpus, cfg, save_fn=None):
     train_store, eval_store = corpus
     if len(train_store) == 0:
         raise ValueError("training split is empty")
-    if cfg.objective == "many_token" and "many_token_placeholder" not in model.params:
-        rng0 = np.random.default_rng(cfg.seed)
-        model.params["many_token_placeholder"] = Tensor(
-            rng0.normal(0.0, 0.02, size=(1, model.config.d_model)).astype(model.dtype), requires_grad=True
-        )
+    if cfg.objective == "many_token":
+        _check_prefix_len(cfg.prefix_len, model.config.n_ctx)  # before the model gains a parameter
+        if "many_token_placeholder" not in model.params:
+            rng0 = np.random.default_rng(cfg.seed)
+            model.params["many_token_placeholder"] = Tensor(
+                rng0.normal(0.0, 0.02, size=(1, model.config.d_model)).astype(model.dtype), requires_grad=True
+            )
 
     lr0 = cfg.lr if cfg.lr is not None else DEFAULT_LR[model.config.block]
     b = min(cfg.batch_size, len(train_store))

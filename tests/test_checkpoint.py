@@ -23,6 +23,7 @@ from mixerlab.checkpoint import (
 from mixerlab.jl import jl_bound, jl_min_dim, jl_shorthand_dim
 from mixerlab.models import ModelConfig, build_model, forward
 from mixerlab.retrieval import EmbeddingStore
+from mixerlab.training import adamw_state, adamw_step, gradient_runs
 from mixerlab import tensor as T
 
 
@@ -194,6 +195,33 @@ def test_embedding_store_round_trip(tmp_path):
     assert np.array_equal(loaded.queries, store.queries)
     assert np.array_equal(loaded.targets, store.targets)
     assert loaded.source_model_id == "gen0"
+
+
+def test_non_contiguous_tables_load_back_bit_exactly(tmp_path):
+    table = np.random.default_rng(7).normal(size=(10, 16)).astype(np.float32)
+    views = EmbeddingStore(queries=table[::2, ::2], targets=np.asfortranarray(table[1::2, 1::2]), source_model_id="gen0")
+    assert not (views.queries.flags.c_contiguous or views.targets.flags.c_contiguous)
+    copies = EmbeddingStore(np.ascontiguousarray(views.queries), np.ascontiguousarray(views.targets), "gen0")
+    save_embedding_store(views, tmp_path / "views.ckpt")
+    save_embedding_store(copies, tmp_path / "copies.ckpt")
+    assert (tmp_path / "views.ckpt").read_bytes() == (tmp_path / "copies.ckpt").read_bytes()
+    loaded = load_embedding_store(tmp_path / "views.ckpt")
+    for name in ("queries", "targets"):
+        assert getattr(loaded, name).tobytes() == getattr(copies, name).tobytes()
+
+
+def test_model_saved_after_an_adamw_step_loads_back_bit_exactly(tmp_path):
+    model = tiny_model(seed=8)
+    T.backward(T.tsum(T.mul(forward(model, np.array([1, 2, 3, 4]))[0], 0.5)))
+    runs = gradient_runs(model.params)
+    adamw_step(model.params, runs, adamw_state(model), 1, 0.01)
+    flat = model.params["wte"].data.base
+    assert flat is not None and all(p.data.base is flat for p in model.params.values())  # views of one flat array
+    save_checkpoint(model, tmp_path / "model.ckpt")
+    loaded = load_checkpoint(tmp_path / "model.ckpt")
+    for name, p in model.params.items():
+        assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+        assert loaded.params[name].data.dtype == p.data.dtype
 
 
 def test_embedding_store_written_without_convention_and_old_container_with_it_loads(tmp_path):

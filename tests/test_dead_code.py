@@ -1,12 +1,16 @@
 """Every public module-level function in the package has a caller, every
-dataclass field a reader, and every module-level import a use.
+dataclass field, module-level constant and class attribute a reader, and
+every module-level import a use.
 
 A public function counts as used when its name appears somewhere other
 than its own definition: as a name, an attribute or an import in any
 Python file under src/, tests/ or demos/, or anywhere in pyproject.toml.
 A dataclass field counts as read when some Python file under src/,
 tests/, demos/ or bench/ loads it as an attribute (`x.field`); a field
-that is only ever assigned is dead output. A defaulted parameter of a
+that is only ever assigned is dead output. A name a module or a class
+body assigns counts as read when some Python file in those four trees
+loads it as a name or an attribute, or imports it; dunder names such as
+`__all__` and `__slots__` are exempt. A defaulted parameter of a
 public function or method counts as set when some call of that name in
 those four trees passes it, by keyword or by position; one nothing passes
 is a setting no caller chooses, better kept as a module constant. Every
@@ -85,6 +89,37 @@ def test_every_dataclass_field_is_read():
                 if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read:
                     unread.append(f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}")
     assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)
+
+
+def _assigned_names(body):
+    """(line, name) of every plain name an `=` statement of `body` binds."""
+    for stmt in body:
+        if isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        yield stmt.lineno, node.id
+
+
+def test_every_module_constant_and_class_attribute_is_read():
+    paths = [path for d in ("src", "tests", "demos", "bench") for path in sorted((ROOT / d).rglob("*.py"))]
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.rsplit(".", 1)[-1])
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [("", tree.body)] + [(f"{node.name}.", node.body) for node in tree.body if isinstance(node, ast.ClassDef)]
+        for prefix, body in scopes:
+            unread += [
+                f"{path.name}:{line} {prefix}{name}" for line, name in _assigned_names(body)
+                if name not in read and not (name.startswith("__") and name.endswith("__"))
+            ]
+    assert not unread, "module constants and class attributes nothing reads: " + ", ".join(unread)
 
 
 def _bound_names(node):

@@ -362,6 +362,33 @@ def test_nan_loss_aborts_with_last_good_state():
         assert np.array_equal(p.data, before[n])
 
 
+@pytest.mark.parametrize("bad_step", [1, 3, 5])
+def test_eval_point_snapshots_keep_the_parameters_own_arrays(bad_step):
+    """A divergence restores the very arrays the parameters held at the last eval point, which kept their values."""
+    rng = np.random.default_rng(30)
+    params = {n: Tensor(rng.normal(size=(3, 2)), requires_grad=True) for n in ("a", "b")}
+    held = []  # (arrays, copies of their values) at each eval point
+
+    def save_fn(model, tag):
+        held.append(({n: p.data for n, p in model.params.items()}, {n: p.data.copy() for n, p in model.params.items()}))
+
+    steps = iter(range(6))
+
+    def step_loss():
+        if next(steps) == bad_step:
+            return Tensor(np.nan)
+        return T.add(*(T.tsum(T.mul(p, p)) for p in params.values()))
+
+    cfg = TrainConfig(steps=6, eval_every=2)
+    with pytest.raises(TrainingDiverged, match=f"at step {bad_step}: non-finite loss"):
+        _run_steps(type("M", (), {"params": params})(), cfg, _lr_at, step_loss, lambda: 0.0, tokens_per_step=1, save_fn=save_fn)
+    assert len(held) == bad_step // 2 + 1
+    assert all(params[n].data is held[-1][0][n] for n in params)
+    for arrays, copies in held:
+        for n in params:
+            assert _same_bits(arrays[n], copies[n]), n
+
+
 def test_divergence_names_a_non_finite_loss():
     model = build_model(mixer_cfg(), seed=5)
     # a rate beyond float32's range is infinite in the float32 update, which makes
@@ -456,6 +483,15 @@ def test_many_token_prefix_bounds_rejected():
     corpus = diverse_corpus()
     with pytest.raises(ValueError, match="prefix_len"):
         train(model, corpus, TrainConfig(objective="many_token", prefix_len=16, steps=1, seed=0))
+
+
+@pytest.mark.parametrize("prefix_len", [None, 0, 8])
+def test_rejected_many_token_run_adds_no_parameter(prefix_len):
+    model = build_model(mixer_cfg(n_ctx=8), seed=10)
+    names = list(model.params)
+    with pytest.raises(ValueError, match="prefix_len"):
+        train(model, repeated_corpus(n_ctx=8), TrainConfig(objective="many_token", prefix_len=prefix_len, steps=1, seed=0))
+    assert list(model.params) == names
 
 
 def test_many_token_suffix_logits_ignore_suffix_tokens():
