@@ -17,7 +17,7 @@ from .tensor import (
     no_grad,
     pinv,
 )
-from .data import Tokenizer, TokenSequence, build_corpus, chunk_and_pad
+from .data import Tokenizer, build_corpus, chunk_and_pad
 from .models import Model, ModelConfig, build_model, forward, generate, sequence_embedding
 from .inversion import InversionConfig, InversionReport, calibrate_epsilon, decode_embedding, invert_input, normalized_hamming
 from .training import TrainConfig, TrainReport, train
@@ -36,7 +36,6 @@ __all__ = [
     "no_grad",
     "pinv",
     "Tokenizer",
-    "TokenSequence",
     "build_corpus",
     "chunk_and_pad",
     "Model",

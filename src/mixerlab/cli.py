@@ -167,7 +167,6 @@ def _model_from_flags(args):
         d_model=args.d_model,
         n_layers=args.n_layers,
         n_ctx=args.n_ctx,
-        vocab=259,
         n_heads=heads,
         kernel_k=args.kernel,
         expansion=args.expansion,

@@ -1,8 +1,10 @@
-"""Byte-level tokenization, fixed-context chunking, and corpus splits."""
+"""Byte-level tokenization, fixed-context chunking, and corpus splits.
+
+A token sequence is an int32 array of n_ctx ids; its pads hold PAD_ID, and it declares no pad side.
+"""
 
 import hashlib
 import io
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,34 +26,6 @@ class Tokenizer:
         return bytes(i for i in ids if i < 256).decode("utf-8", errors="replace")
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Fixed-length integer token vector with a declared pad side."""
-
-    ids: np.ndarray
-    pad_side: str = "right"
-
-    def __post_init__(self):
-        ids = np.asarray(self.ids, dtype=np.int32)
-        object.__setattr__(self, "ids", ids)
-        if self.pad_side not in ("left", "right"):
-            raise ValueError(f"pad_side must be 'left' or 'right', got {self.pad_side!r}")
-        if ids.size and (ids.min() < 0 or ids.max() >= VOCAB_SIZE):
-            raise ValueError(f"token id out of range for vocab {VOCAB_SIZE}")
-        pads = ids == PAD_ID
-        if pads.any():
-            run = np.flatnonzero(pads)
-            if self.pad_side == "right":
-                contiguous = run[0] + len(run) == len(ids)
-            else:
-                contiguous = run[-1] + 1 == len(run)
-            if not contiguous or (run[-1] - run[0] + 1) != len(run):
-                raise ValueError(f"pads must be contiguous on the {self.pad_side}")
-
-    def __len__(self):
-        return len(self.ids)
-
-
 def _pad(ids, n_ctx, side):
     """The first n_ctx ids of a list as an int32 array, filled to n_ctx with PAD_ID on `side`."""
     ids = ids[:n_ctx]
@@ -60,31 +34,27 @@ def _pad(ids, n_ctx, side):
 
 
 def chunk_and_pad(ids, n_ctx, side="right"):
-    """Split ids into length-n_ctx chunks, padding the final partial chunk.
+    """Split ids into int32 arrays of n_ctx ids, padding the final partial chunk on `side`.
 
-    No token is lost or duplicated; an empty input gives an empty list.
+    No token is lost or duplicated; an empty input gives an empty list. A
+    side other than "left" or "right" raises ValueError, also for an empty input.
     """
     if n_ctx < 2:
         raise ValueError(f"n_ctx must be >= 2, got {n_ctx}")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     ids = list(ids)
-    return [
-        TokenSequence(_pad(ids[start:start + n_ctx], n_ctx, side), pad_side=side)
-        for start in range(0, len(ids), n_ctx)
-    ]
+    return [_pad(ids[start:start + n_ctx], n_ctx, side) for start in range(0, len(ids), n_ctx)]
 
 
 class ChunkStore:
-    """Immutable collection of fixed-length token sequences."""
+    """Immutable collection of fixed-length token sequences, stacked as the (count, n_ctx) int32 rows of `ids`."""
 
-    def __init__(self, sequences, pad_side="right"):
-        self.pad_side = pad_side
-        self.ids = np.array([s.ids for s in sequences], dtype=np.int32) if sequences else np.zeros((0, 0), np.int32)
+    def __init__(self, sequences):
+        self.ids = np.array(sequences, dtype=np.int32) if sequences else np.zeros((0, 0), np.int32)
 
     def __len__(self):
         return self.ids.shape[0]
-
-    def __getitem__(self, i):
-        return TokenSequence(self.ids[i], pad_side=self.pad_side)
 
 
 def _decode_text(raw, path):
@@ -124,9 +94,6 @@ def build_corpus(source, n_ctx, split_ratio=0.9, side="right", seed=0, inline=Fa
             raise IOError(f"cannot read corpus {source}: {e}") from e
         text = _decode_text(raw, source)
     chunks = chunk_and_pad(Tokenizer().tokenize(text), n_ctx, side)
-    if not chunks:
-        return ChunkStore([], side), ChunkStore([], side)
-
     fractions = [_split_fraction(i, seed) for i in range(len(chunks))]
     to_train = [f < split_ratio for f in fractions]
     if len(chunks) >= 2:
@@ -136,7 +103,7 @@ def build_corpus(source, n_ctx, split_ratio=0.9, side="right", seed=0, inline=Fa
             to_train[int(np.argmin(fractions))] = True
     train = [c for c, t in zip(chunks, to_train) if t]
     evals = [c for c, t in zip(chunks, to_train) if not t]
-    return ChunkStore(train, side), ChunkStore(evals, side)
+    return ChunkStore(train), ChunkStore(evals)
 
 
 def synthetic_pairs(count, rng, key_len=6, payload_len=2, value_style="copy"):
@@ -195,8 +162,7 @@ def pair_line_chunks(pairs, n_ctx):
     structure that chunked concatenation would straddle.
     """
     tok = Tokenizer()
-    seqs = [TokenSequence(_pad(tok.tokenize(f"{q} {t}"), n_ctx, "left"), pad_side="left") for q, t in pairs]
-    return ChunkStore(seqs, pad_side="left")
+    return ChunkStore([_pad(tok.tokenize(f"{q} {t}"), n_ctx, "left") for q, t in pairs])
 
 
 def pairs_to_sequences(pairs, n_ctx):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import PAD_ID, TokenSequence
+from .data import PAD_ID, VOCAB_SIZE
 from .tensor import TRAIN32, Tensor
 
 # Every family is one block type ("mixer" or "transformer") wired into one
@@ -58,7 +58,7 @@ class ModelConfig:
     d_model: int
     n_layers: int
     n_ctx: int
-    vocab: int = 259
+    vocab: int = VOCAB_SIZE
     n_heads: int = 1
     kernel_k: int = 1
     expansion: int = 1
@@ -220,7 +220,7 @@ def build_model(cfg, seed=0, dtype=TRAIN32):
 
 def _as_ids(tokens, cfg):
     """Token ids as (n_ctx,) for one sequence or (batch, n_ctx) for a batch."""
-    ids = tokens.ids if isinstance(tokens, TokenSequence) else np.asarray(tokens, dtype=np.int64)
+    ids = np.asarray(tokens, dtype=np.int64)
     if ids.ndim not in (1, 2) or ids.shape[-1] != cfg.n_ctx:
         raise ValueError(f"expected {cfg.n_ctx} tokens, got shape {ids.shape}")
     return ids
@@ -485,8 +485,10 @@ def forward(model, tokens):
 # inference helpers
 
 def generate(model, prompt, n_new):
-    """Greedy per-position fill: one full forward pass per generated token."""
+    """Greedy per-position fill: one full forward pass per generated token, for causal families only."""
     cfg = model.config
+    if cfg.topology != "causal":
+        raise ValueError(f"generate needs a causal family, got {cfg.family!r}")
     prompt = np.asarray(prompt, dtype=np.int64)
     if prompt.ndim != 1:
         raise ValueError("prompt must be a flat token vector")

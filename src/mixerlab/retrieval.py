@@ -150,14 +150,18 @@ def split_store(store, holdout):
 def _unit_rows(stores, transform):
     """Each store's (query, target) tables from `transform(store)`, rows scaled to unit length.
 
-    One store gives one store, several a tuple.
+    One store gives one store, several a tuple. A zero-norm row raises
+    ValueError naming it, and the store's place in `stores`, before anything is divided.
     """
     out = []
-    for store in stores:
-        q, t = transform(store)
-        q = q / np.linalg.norm(q, axis=1, keepdims=True)
-        t = t / np.linalg.norm(t, axis=1, keepdims=True)
-        out.append(EmbeddingStore(q, t, store.source_model_id))
+    for k, store in enumerate(stores):
+        units = []
+        for side, rows in zip(("query", "target"), transform(store)):
+            norms = np.linalg.norm(rows, axis=1, keepdims=True)
+            if not norms.all():
+                raise ValueError(f"zero-norm {side} row {np.argmin(norms)} of store {k} has no cosine direction")
+            units.append(rows / norms)
+        out.append(EmbeddingStore(*units, store.source_model_id))
     return out[0] if len(out) == 1 else tuple(out)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,33 @@ def test_generate_roundtrip(tmp_path, corpus_file):
         "--out", str(gen_out),
     ]) == 0
     assert (gen_out / "generation.txt").exists()
+
+
+@pytest.mark.parametrize("family", ["bidirectional_mixer", "mixer_autoencoder"])
+def test_generate_from_a_non_causal_checkpoint_exit_1(tmp_path, capsys, family):
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(build_model(ModelConfig(family, d_model=16, n_layers=1, n_ctx=8), seed=0), ckpt)
+    out = tmp_path / "gen"
+    capsys.readouterr()
+    assert run_cli(["generate", "--checkpoint", str(ckpt), "--prompt", "ab", "--n-new", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: generate needs a causal family, got {family!r}\n"
+    assert not (out / "generation.txt").exists()
+
+
+def test_indirect_with_one_training_pair_exit_1_names_the_zero_row(tmp_path, capsys):
+    store = tmp_path / "in.ckpt"
+    rng = np.random.default_rng(1)
+    save_embedding_store(EmbeddingStore(queries=rng.normal(size=(11, 8)), targets=rng.normal(size=(11, 8))), store)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([
+            "train-retrieval-indirect", "--embeddings", str(store), "--steps", "1", "--candidates", "4",
+            "--holdout", "10", "--out", str(out),
+        ]) == 1
+    assert capsys.readouterr().err == "error: zero-norm query row 0 of store 0 has no cosine direction\n"
+    assert not (out / "retrieval-model.ckpt").exists()
 
 
 def test_invert_writes_csv(tmp_path):

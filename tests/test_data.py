@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from mixerlab.data import (
     PAD_ID,
     ChunkStore,
-    TokenSequence,
     Tokenizer,
     build_corpus,
     chunk_and_pad,
     load_pairs,
+    pair_line_chunks,
     pairs_to_sequences,
     synthetic_pairs,
     write_pairs,
@@ -58,19 +58,19 @@ def test_detokenize_drops_specials():
 def test_chunk_and_pad_partial_tail():
     chunks = chunk_and_pad([1, 2, 3, 4, 5], 4, "right")
     assert len(chunks) == 2
-    assert chunks[0].ids.tolist() == [1, 2, 3, 4]
-    assert chunks[1].ids.tolist() == [5, PAD_ID, PAD_ID, PAD_ID]
+    assert chunks[0].tolist() == [1, 2, 3, 4]
+    assert chunks[1].tolist() == [5, PAD_ID, PAD_ID, PAD_ID]
 
 
 def test_chunk_and_pad_exact_fit():
     chunks = chunk_and_pad([1, 2, 3, 4], 4, "right")
     assert len(chunks) == 1
-    assert PAD_ID not in chunks[0].ids
+    assert PAD_ID not in chunks[0]
 
 
 def test_chunk_and_pad_left_side():
     chunks = chunk_and_pad([1, 2, 3, 4, 5], 4, "left")
-    assert chunks[1].ids.tolist() == [PAD_ID, PAD_ID, PAD_ID, 5]
+    assert chunks[1].tolist() == [PAD_ID, PAD_ID, PAD_ID, 5]
 
 
 def test_chunk_empty_input():
@@ -81,16 +81,9 @@ def test_chunk_empty_input():
 @given(st.lists(st.integers(0, 255), max_size=200), st.integers(2, 17))
 def test_chunk_round_trip_property(ids, n_ctx):
     chunks = chunk_and_pad(ids, n_ctx)
-    rebuilt = [i for c in chunks for i in c.ids.tolist() if i != PAD_ID]
+    rebuilt = [i for c in chunks for i in c.tolist() if i != PAD_ID]
     assert rebuilt == [i for i in ids]
     assert all(len(c) == n_ctx for c in chunks)
-
-
-def test_token_sequence_pad_contiguity_enforced():
-    with pytest.raises(ValueError, match="contiguous"):
-        TokenSequence(np.array([1, PAD_ID, 2, PAD_ID]), pad_side="right")
-    TokenSequence(np.array([1, 2, PAD_ID, PAD_ID]), pad_side="right")
-    TokenSequence(np.array([PAD_ID, PAD_ID, 1, 2]), pad_side="left")
 
 
 def test_build_corpus_split_counts(tmp_path):
@@ -196,12 +189,12 @@ def test_chunk_store_indexing():
     chunks = chunk_and_pad(list(range(10)), 5)
     store = ChunkStore(chunks)
     assert len(store) == 2
-    assert store[1].ids.tolist() == [5, 6, 7, 8, 9]
+    assert store.ids[1].tolist() == [5, 6, 7, 8, 9]
 
 
 def test_chunk_store_holds_its_ids_once():
     rng = np.random.default_rng(0)
-    seqs = [TokenSequence(row) for row in rng.integers(0, 256, size=(4096, 64))]
+    seqs = list(rng.integers(0, 256, size=(4096, 64), dtype=np.int32))
     tracemalloc.start()
     try:
         store = ChunkStore(seqs)
@@ -209,5 +202,25 @@ def test_chunk_store_holds_its_ids_once():
     finally:
         tracemalloc.stop()
     assert store.ids.dtype == np.int32 and store.ids.shape == (4096, 64)
-    assert np.array_equal(store.ids, np.stack([s.ids for s in seqs]))
+    assert np.array_equal(store.ids, np.stack(seqs))
     assert peak < 1.25 * store.ids.nbytes
+
+
+def _is_sequence(row, n_ctx):
+    return isinstance(row, np.ndarray) and row.dtype == np.int32 and row.shape == (n_ctx,)
+
+
+def test_sequences_are_int32_arrays_of_n_ctx_everywhere():
+    n_ctx, pairs = 8, synthetic_pairs(6, np.random.default_rng(4))
+    chunks = chunk_and_pad(range(20), n_ctx, "left")
+    queries, targets = pairs_to_sequences(pairs, n_ctx)
+    train, evals = build_corpus("abcdefgh" * 12, n_ctx=n_ctx, inline=True)
+    stores = (train, evals, pair_line_chunks(pairs, n_ctx), ChunkStore(chunks))
+    assert all(_is_sequence(row, n_ctx) for row in chunks + queries + targets)
+    assert all(_is_sequence(row, n_ctx) for store in stores for row in store.ids)
+
+
+@pytest.mark.parametrize("ids", [[1, 2, 3], []], ids=["tokens", "empty"])
+def test_chunk_and_pad_rejects_unknown_side(ids):
+    with pytest.raises(ValueError, match="^side must be 'left' or 'right', got 'middle'$"):
+        chunk_and_pad(ids, 4, "middle")

@@ -12,7 +12,8 @@ body assigns counts as read when some Python file in those four trees
 loads it as a name or an attribute, or imports it; dunder names such as
 `__all__` and `__slots__` are exempt. A defaulted parameter of a
 public function or method counts as set when some call of that name in
-those four trees passes it, by keyword or by position; one nothing passes
+those four trees passes it, by keyword or by position (a call of a public
+class's name counts for its `__init__`); one nothing passes
 is a setting no caller chooses, better kept as a module constant. Every
 field of a `*Config` class is set by some call under src/ or bench/, by
 keyword or by position: one only tests or demos set is no choice the lab
@@ -143,15 +144,19 @@ def test_every_module_level_import_is_used():
 
 
 def _public_functions(tree):
-    """(function node, leading parameters its callers do not pass) of every public function and method."""
+    """(function node, leading parameters its callers do not pass, name its calls use) of every
+    public function and method, and of the `__init__` of every public class, whose calls name the class.
+    """
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node, 0
+            yield node, 0, node.name
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for fn in node.body:
-                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    yield fn, 1, node.name
+                elif isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
                     static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
-                    yield fn, 0 if static else 1
+                    yield fn, 0 if static else 1, fn.name
 
 
 def _passes(call, name, index):
@@ -181,12 +186,12 @@ def test_every_defaulted_parameter_of_a_public_function_is_passed():
     calls = _calls_by_name(("src", "tests", "demos", "bench"))
     unpassed = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for fn, skip in _public_functions(ast.parse(path.read_text(encoding="utf-8"))):
+        for fn, skip, callee in _public_functions(ast.parse(path.read_text(encoding="utf-8"))):
             positional = (fn.args.posonlyargs + fn.args.args)[skip:]
             defaulted = [(a.arg, i) for i, a in enumerate(positional)][len(positional) - len(fn.args.defaults):]
             defaulted += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
             for name, index in defaulted:
-                if not any(_passes(call, name, index) for call in calls[fn.name]):
+                if not any(_passes(call, name, index) for call in calls[callee]):
                     unpassed.append(f"{path.name}:{fn.lineno} {fn.name}({name}=)")
     assert not unpassed, "defaulted parameters no call passes: " + ", ".join(unpassed)
 
@@ -257,15 +262,15 @@ def test_every_config_field_is_set_outside_tests():
     assert not unset, "config fields no call under src/ or bench/ sets: " + ", ".join(unset)
 
 
-# 31 config fields + 33 defaulted parameters + 164 subcommand flags
-SETTABLE_VALUES = 228
+# 31 config fields + 34 defaulted parameters + 164 subcommand flags
+SETTABLE_VALUES = 229
 
 
 def test_settable_values_do_not_grow():
     fields = sum(len(names) for _, names in _config_fields())
     params = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        for fn, _ in _public_functions(ast.parse(path.read_text(encoding="utf-8"))):
+        for fn, _, _ in _public_functions(ast.parse(path.read_text(encoding="utf-8"))):
             params += len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
     _, parsers = cli.build_parser()
     flags = sum(

@@ -374,6 +374,13 @@ def test_generate_context_overflow_rejected():
         generate(model, np.arange(6), 3)
 
 
+@pytest.mark.parametrize("family", ["bidirectional_mixer", "bidirectional_transformer", "mixer_autoencoder", "retrieval_mixer"])
+def test_generate_rejects_a_family_whose_logits_do_not_predict_the_next_position(family):
+    model = build_model(tiny(family=family, n_heads=2 if "transformer" in family else 1), seed=27)
+    with pytest.raises(ValueError, match=f"^generate needs a causal family, got {family!r}$"):
+        generate(model, np.array([1, 2]), 3)
+
+
 # ---------------------------------------------------------------------------
 # parameter counts and embeddings
 

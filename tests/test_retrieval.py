@@ -1,5 +1,6 @@
 """Candidate-set sampling statistics, contrastive-loss identities, ranking."""
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,7 @@ from mixerlab.retrieval import (
     EmbeddingStore,
     InfoNCEConfig,
     RetrievalBatch,
+    center_and_normalize,
     embed_corpus,
     eval_topk_accuracy,
     infonce_loss,
@@ -20,6 +22,7 @@ from mixerlab.retrieval import (
     retrieve_topk,
     sample_retrieval_batch,
     sample_sequence_batch,
+    split_store,
     _others,
     train_indirect,
     train_infonce,
@@ -587,6 +590,24 @@ def test_eval_topk_rejects_a_zero_norm_row_before_any_draw(side):
 def test_pca_project_rejects_dim_below_one(dim):
     with pytest.raises(ValueError, match=f"^pca_dim must be >= 1, got {dim}$"):
         pca_project(toy_store(), dim=dim)
+
+
+def test_center_and_normalize_names_a_row_that_centers_to_zero():
+    """A one-pair training store centers to zero; the error names the row before any 0/0 warns."""
+    train_store, eval_store = split_store(toy_store(n=11), 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^zero-norm query row 0 of store 0 has no cosine direction$"):
+            center_and_normalize(train_store, eval_store)
+
+
+def test_pca_project_names_a_zero_row_of_a_later_store():
+    other = toy_store(n=5, seed=3)
+    other.targets[2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^zero-norm target row 2 of store 1 has no cosine direction$"):
+            pca_project(toy_store(), other, dim=4)
 
 
 def test_eval_topk_monotone_for_random_embedder():

@@ -7,7 +7,7 @@ import pytest
 
 from mixerlab import tensor as T
 from mixerlab import training
-from mixerlab.data import PAD_ID, ChunkStore, TokenSequence, build_corpus, chunk_and_pad
+from mixerlab.data import PAD_ID, ChunkStore, build_corpus, chunk_and_pad
 from mixerlab.models import FAMILIES, ModelConfig, build_model, forward, forward_from_embedding
 from mixerlab.tensor import CHECK64, TRAIN32, Tensor, backward
 from mixerlab.training import (
@@ -710,8 +710,8 @@ def _scored_and_full(monkeypatch, objective, family, dtype, n_layers, side, d, n
     model.params["many_token_placeholder"] = Tensor(rng.normal(0.0, 0.02, size=(1, d)).astype(dtype), requires_grad=True)
     lengths = (n_ctx, prefix + 1, prefix, n_ctx, 2, prefix - 1, 1)
     seqs = [chunk_and_pad(rng.integers(0, 256, size=k).tolist(), n_ctx, side)[0] for k in lengths]
-    seqs.insert(2, TokenSequence(np.full(n_ctx, PAD_ID), pad_side=side))
-    store = ChunkStore(seqs, pad_side=side)
+    seqs.insert(2, np.full(n_ctx, PAD_ID, dtype=np.int32))
+    store = ChunkStore(seqs)
 
     def run():
         loss = batch_loss(model, store.ids, cfg)
